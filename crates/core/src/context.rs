@@ -596,9 +596,8 @@ impl BrookContext {
             .checked
             .program
             .kernel(kernel)
-            .ok_or_else(|| BrookError::Usage(format!("unknown kernel `{kernel}`")))?
-            .clone();
-        let (handle_args, outputs) = classify_call(&kdef, kernel, args, &mut |s| {
+            .ok_or_else(|| BrookError::Usage(format!("unknown kernel `{kernel}`")))?;
+        let (handle_args, outputs) = classify_call(kdef, kernel, args, &mut |s| {
             self.check_stream(s)?;
             Ok(self.backend.stream_desc(s.index).clone())
         })?;

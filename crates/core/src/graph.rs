@@ -264,13 +264,12 @@ impl<'ctx> BrookGraph<'ctx> {
             .checked
             .program
             .kernel(kernel)
-            .ok_or_else(|| BrookError::Usage(format!("unknown kernel `{kernel}`")))?
-            .clone();
+            .ok_or_else(|| BrookError::Usage(format!("unknown kernel `{kernel}`")))?;
         let graph_id = self.graph_id;
         let (args, outputs) = {
             let ctx = &*self.ctx;
             let virtuals = &self.virtuals;
-            classify_call(&kdef, kernel, args, &mut |s: &Stream| {
+            classify_call(kdef, kernel, args, &mut |s: &Stream| {
                 lookup_stream_desc(ctx, graph_id, virtuals, s)
             })?
         };

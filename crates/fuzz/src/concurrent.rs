@@ -81,7 +81,7 @@ pub fn run_concurrent_campaign(
         };
         let ref_key = key(&ref_ctx, "cpu");
         let artifact = cache
-            .get_or_compile(ref_key, || ref_ctx.compile_artifact(&case.source))
+            .get_or_compile(ref_key, &case.source, || ref_ctx.compile_artifact(&case.source))
             .map_err(|e| format!("case {}: compile: {e}", case.name))?;
         let ref_module = ref_ctx
             .adopt_artifact(&artifact)
@@ -105,7 +105,7 @@ pub fn run_concurrent_campaign(
                         backend: "cpu",
                     };
                     let artifact = cache
-                        .get_or_compile(k, || ctx.compile_artifact(&case.source))
+                        .get_or_compile(k, &case.source, || ctx.compile_artifact(&case.source))
                         .map_err(|e| format!("compile: {e}"))?;
                     let module = ctx.adopt_artifact(&artifact).map_err(|e| format!("adopt: {e}"))?;
                     run_with_module(&mut ctx, &module, &case)

@@ -44,9 +44,8 @@
 //! differential oracles; the `lanes` fuzz campaign asserts bitwise
 //! agreement on every generated kernel.
 
-use crate::interp::{
-    domain_extents, indexof_elem, indexof_pos, input_index, Binding, ExecError, MAX_ITERATIONS,
-};
+use crate::block::{aos_to_soa, BlockFrame, BlockIo, BlockLayout};
+use crate::interp::{Binding, ExecError, MAX_ITERATIONS};
 use crate::{AssignOp, BinOp, Inst, IrKernel, LoopKind, Node, UnOp};
 use brook_lang::ast::{ParamKind, ScalarKind, Type};
 use brook_lang::builtins::BUILTINS;
@@ -1704,7 +1703,8 @@ impl LaneSlabs {
 
 struct Engine<'a, 'p> {
     lk: &'p LaneKernel,
-    bindings: &'a [Binding<'a>],
+    /// The per-block access tables ([`crate::block`]).
+    io: BlockIo<'a>,
     /// Float register + output staging slabs (component-major, one
     /// component = [`LANES`] consecutive values).
     f: &'a mut [f32],
@@ -1714,18 +1714,12 @@ struct Engine<'a, 'p> {
     dead: Mask,
     /// Per-lane loop back-edge counts (the scalar budget, per lane).
     iters: [u32; LANES],
-    /// Per elem slot: backing data and per-lane element offsets.
-    elem_data: Vec<&'a [f32]>,
-    elem_off: Vec<[usize; LANES]>,
-    /// Per scalar slot: pre-split lanes / int payloads.
-    scalar_f: Vec<[f32; 4]>,
-    scalar_i: Vec<i32>,
-    /// Per indexof slot: per-lane `indexof` value.
-    idx_vals: Vec<[[f32; 2]; LANES]>,
-    /// Maximum `indexof` component values of this launch's domain
-    /// ([`crate::eval::indexof_comp_max`]) — the runtime half of
-    /// [`crate::ProvenIdx::IndexofRel`] clamp elision.
-    comp_max: [i64; 2],
+}
+
+impl<'a> BlockFrame<'a> for Engine<'a, '_> {
+    fn parts(&mut self) -> (&mut BlockIo<'a>, &mut [f32]) {
+        (&mut self.io, self.f)
+    }
 }
 
 /// Runs a (non-reduce) kernel over a contiguous partition of its output
@@ -1765,163 +1759,36 @@ pub fn run_kernel_range_in(
     domain_shape: &[usize],
     range: Range<usize>,
 ) -> Result<(), ExecError> {
-    let (dx, dy, linear) = domain_extents(domain_shape);
-    debug_assert!(range.end <= dx * dy, "domain range exceeds the domain");
-    let scalar = |outputs: &mut [&mut [f32]]| {
-        crate::interp::run_kernel_range(kernel, bindings, outputs, domain_shape, range.clone())
+    // Anything the plan cannot model falls back to the scalar path,
+    // which owns the error surface.
+    let Some((layout, io)) =
+        BlockLayout::bind(lane, kernel, bindings, outputs.len(), domain_shape, range.clone())
+    else {
+        return crate::interp::run_kernel_range(kernel, bindings, outputs, domain_shape, range);
     };
-    // Output-slot -> buffer mapping plus per-buffer widths; anything
-    // unexpected falls back to the scalar path, which owns the error
-    // surface.
-    let mut out_buf = Vec::with_capacity(kernel.outputs.len());
-    for (slot, _) in kernel.output_params() {
-        match &bindings[kernel.outputs[slot as usize] as usize] {
-            Binding::Out(i) => out_buf.push(*i),
-            _ => return scalar(outputs),
-        }
-    }
-    let mut buf_width: Vec<Option<usize>> = vec![None; outputs.len()];
-    for (slot, bi) in out_buf.iter().enumerate() {
-        buf_width[*bi] = Some(lane.out_w[slot] as usize);
-    }
-    // Elementwise inputs must match the planned widths.
-    let mut elem_data = Vec::with_capacity(lane.elem_params.len());
-    let mut elem_shapes = Vec::with_capacity(lane.elem_params.len());
-    for (pi, w) in &lane.elem_params {
-        match &bindings[*pi as usize] {
-            Binding::Elem { data, shape, width } if width == w => {
-                elem_data.push(*data);
-                elem_shapes.push(*shape);
-            }
-            _ => return scalar(outputs),
-        }
-    }
-    // Scalars must carry the planned runtime types.
-    let mut scalar_f = vec![[0.0f32; 4]; lane.scalar_params.len()];
-    let mut scalar_i = vec![0i32; lane.scalar_params.len()];
-    for (slot, (pi, ty)) in lane.scalar_params.iter().enumerate() {
-        match &bindings[*pi as usize] {
-            Binding::Scalar(v) if LaneTy::of_value(v) == *ty => match v {
-                Value::Int(x) => scalar_i[slot] = *x,
-                other => {
-                    scalar_f[slot][..other.lanes().len()].copy_from_slice(other.lanes());
-                }
-            },
-            _ => return scalar(outputs),
-        }
-    }
-    for (pi, w) in &lane.gather_params {
-        match &bindings[*pi as usize] {
-            Binding::Gather { width, .. } if width == w => {}
-            _ => return scalar(outputs),
-        }
-    }
-    // `indexof` semantics depend on the binding kind; gather bindings
-    // fault in the scalar path, so let it raise that fault.
-    for pi in &lane.indexof_params {
-        if matches!(&bindings[*pi as usize], Binding::Gather { .. }) {
-            return scalar(outputs);
-        }
-    }
     slabs.prepare(lane);
     let mut eng = Engine {
         lk: lane,
-        bindings,
+        io,
         f: slabs.f.as_mut_slice(),
         i: slabs.i.as_mut_slice(),
         b: &mut slabs.b,
         dead: 0,
         iters: [0; LANES],
-        elem_data,
-        elem_off: vec![[0; LANES]; lane.elem_params.len()],
-        scalar_f,
-        scalar_i,
-        idx_vals: vec![[[0.0; 2]; LANES]; lane.indexof_params.len()],
-        comp_max: crate::eval::indexof_comp_max((dx, dy), linear),
     };
-    let mut base = range.start;
-    while base < range.end {
-        let n = (range.end - base).min(LANES);
-        let mask: Mask = if n == LANES { FULL } else { (1u32 << n) - 1 };
-        eng.dead = 0;
-        eng.iters = [0; LANES];
-        // Per-lane element addressing for this block.
-        for (si, shape) in elem_shapes.iter().enumerate() {
-            let cols = if shape.len() == 2 {
-                shape[1]
-            } else {
-                shape.iter().product()
-            };
-            let width = lane.elem_params[si].1 as usize;
-            for l in 0..n {
-                let p = base + l;
-                let (ix, iy) = input_index((p % dx, p / dx), (dx, dy), shape);
-                eng.elem_off[si][l] = (iy * cols + ix) * width;
-            }
-        }
-        for (si, pi) in lane.indexof_params.iter().enumerate() {
-            for l in 0..n {
-                let p = base + l;
-                let pos = (p % dx, p / dx);
-                eng.idx_vals[si][l] = match &bindings[*pi as usize] {
-                    Binding::Elem { shape, .. } => indexof_elem(pos, (dx, dy), shape),
-                    Binding::Out(_) | Binding::Scalar(_) => indexof_pos(pos, (dx, dy), linear),
-                    Binding::Gather { .. } => unreachable!("validated above"),
-                };
-            }
-        }
-        // Stage current output contents where the plan says the block
-        // can observe or leave them (unconditional-overwrite slots skip
-        // the pre-read — the flush rewrites every lane anyway).
-        for (slot, bi) in out_buf.iter().enumerate() {
-            if !lane.out_preload[slot] {
-                continue;
-            }
-            let w = lane.out_w[slot] as usize;
-            let off = lane.out_off[slot] as usize;
-            let buf = &outputs[*bi];
-            for l in 0..n {
-                let src = (base + l - range.start) * w;
-                for c in 0..w {
-                    eng.f[off + c * LANES + l] = buf[src + c];
-                }
-            }
-        }
-        match eng.exec_nodes(&kernel.body, mask) {
-            Ok(()) => {
-                for (slot, bi) in out_buf.iter().enumerate() {
-                    let w = lane.out_w[slot] as usize;
-                    let off = lane.out_off[slot] as usize;
-                    let buf = &mut outputs[*bi];
-                    for l in 0..n {
-                        let dst = (base + l - range.start) * w;
-                        for c in 0..w {
-                            buf[dst + c] = eng.f[off + c * LANES + l];
-                        }
-                    }
-                }
-            }
-            Err(Bail) => {
-                // Re-run exactly this block through the scalar
-                // interpreter: its partial writes, fault choice, element
-                // attribution and span are the scalar path's, verbatim.
-                // (No staged lane write has touched the real buffers.)
-                let mut slices: Vec<&mut [f32]> = Vec::with_capacity(outputs.len());
-                for (bi, out) in outputs.iter_mut().enumerate() {
-                    match buf_width[bi] {
-                        Some(w) => {
-                            let s = (base - range.start) * w;
-                            slices.push(&mut out[s..s + n * w]);
-                        }
-                        None => slices.push(&mut out[0..0]),
-                    }
-                }
-                crate::interp::run_kernel_range(kernel, bindings, &mut slices, domain_shape, base..base + n)?;
-            }
-        }
-        base += n;
-    }
-    Ok(())
+    layout.drive(
+        &mut eng,
+        outputs,
+        |eng, mask| {
+            eng.dead = 0;
+            eng.iters = [0; LANES];
+            eng.exec_nodes(&kernel.body, mask).is_ok()
+        },
+        // Re-run exactly a bailed block through the scalar interpreter:
+        // its partial writes, fault choice, element attribution and span
+        // are the scalar path's, verbatim.
+        |slices, block| crate::interp::run_kernel_range(kernel, bindings, slices, domain_shape, block),
+    )
 }
 
 impl Engine<'_, '_> {
@@ -2009,7 +1876,7 @@ impl Engine<'_, '_> {
     #[allow(clippy::too_many_lines)]
     fn exec_seq(&mut self, start: u32, end: u32, m: Mask) -> Result<(), Bail> {
         let lk = self.lk;
-        let bindings = self.bindings;
+        let bindings = self.io.bindings;
         let ops = &lk.ops[lk.op_start[start as usize] as usize..lk.op_start[end as usize] as usize];
         for op in ops {
             match op {
@@ -2348,17 +2215,21 @@ impl Engine<'_, '_> {
                     self.b[d] = (self.b[d] & !m) | (bits & m);
                 }
                 Op::ReadElem { dst, w, slot } => {
-                    let data = self.elem_data[*slot as usize];
-                    let off = self.elem_off[*slot as usize];
-                    for c in 0..*w as usize {
-                        let d = *dst as usize + c * LANES;
-                        lanes_loop!(m, l, {
-                            self.f[d + l] = data[off[l] + c];
-                        });
+                    let (d, w, slot) = (*dst as usize, *w as usize, *slot as usize);
+                    if let Some(span) = self.io.span(slot, m) {
+                        aos_to_soa(&mut self.f[d..d + w * LANES], span, w, LANES);
+                    } else {
+                        let data = self.io.elem_data[slot];
+                        let off = &self.io.elem_off[slot];
+                        for c in 0..w {
+                            lanes_loop!(m, l, {
+                                self.f[d + c * LANES + l] = data[off[l] + c];
+                            });
+                        }
                     }
                 }
                 Op::ReadScalarF { dst, w, slot } => {
-                    let v = self.scalar_f[*slot as usize];
+                    let v = self.io.scalar_f[*slot as usize];
                     for (c, val) in v.iter().copied().take(*w as usize).enumerate() {
                         let d = *dst as usize + c * LANES;
                         lanes_loop!(m, l, {
@@ -2367,7 +2238,7 @@ impl Engine<'_, '_> {
                     }
                 }
                 Op::ReadScalarI { dst, slot } => {
-                    let v = self.scalar_i[*slot as usize];
+                    let v = self.io.scalar_i[*slot as usize];
                     let d = *dst as usize;
                     lanes_loop!(m, l, {
                         self.i[d + l] = v;
@@ -2388,7 +2259,7 @@ impl Engine<'_, '_> {
                     // bounds for this shape.
                     if proven
                         .as_ref()
-                        .is_some_and(|p| crate::eval::proven_fits_dyn(p, shape, self.comp_max))
+                        .is_some_and(|p| crate::eval::proven_fits_dyn(p, shape, self.io.comp_max))
                     {
                         lanes_loop!(m, l, {
                             let mut linear = 0usize;
@@ -2440,7 +2311,7 @@ impl Engine<'_, '_> {
                     });
                 }
                 Op::Indexof { dst, slot } => {
-                    let v = self.idx_vals[*slot as usize];
+                    let v = &self.io.idx_vals[*slot as usize];
                     let d = *dst as usize;
                     lanes_loop!(m, l, {
                         self.f[d + l] = v[l][0];

@@ -31,6 +31,7 @@
 //! both execute the *same* scalar semantics by construction, and the
 //! fuzz campaigns assert bit-exactness between them.
 
+mod block;
 pub mod eval;
 pub mod interp;
 pub mod lanes;

@@ -45,15 +45,13 @@
 //!    the scalar path by construction, through the tier → lanes →
 //!    scalar chain.
 
-use crate::interp::{
-    domain_extents, indexof_elem, indexof_pos, input_index, Binding, ExecError, MAX_ITERATIONS,
-};
+use crate::block::{aos_to_soa, BlockFrame, BlockIo, BlockLayout};
+use crate::interp::{Binding, ExecError, MAX_ITERATIONS};
 use crate::lanes::{
-    self, BOp, Bi2, COp, FOp, IOp, LaneKernel, LaneProgram, LaneSlabs, LaneTy, Mask, Op, Un1, FULL, LANES,
+    self, BOp, Bi2, COp, FOp, IOp, LaneKernel, LaneProgram, LaneSlabs, Mask, Op, Un1, FULL, LANES,
 };
 use crate::simd::{self, SimdLevel};
 use crate::{IrKernel, IrProgram, LoopKind, Node};
-use glsl_es::Value;
 use std::fmt;
 use std::ops::Range;
 
@@ -62,11 +60,12 @@ use std::ops::Range;
 // ---------------------------------------------------------------------------
 
 /// The per-dispatch execution state a compiled step runs against: the
-/// slab arenas plus the per-block access tables the driver refreshes
-/// between blocks. Mirrors the lane engine's `Engine` exactly — the
-/// slabs are caller-owned [`LaneSlabs`] so workers reuse them.
+/// slab arenas plus the per-block access tables ([`BlockIo`]) that the
+/// block driver shared with the lane engine ([`BlockLayout::drive`])
+/// refreshes between blocks. The slabs are caller-owned [`LaneSlabs`]
+/// so workers reuse them.
 pub(crate) struct Frame<'a> {
-    bindings: &'a [Binding<'a>],
+    io: BlockIo<'a>,
     f: &'a mut [f32],
     i: &'a mut [i32],
     b: &'a mut [Mask],
@@ -76,15 +75,12 @@ pub(crate) struct Frame<'a> {
     dead: Mask,
     /// Per-lane loop back-edge counts (the scalar budget, per lane).
     iters: [u32; LANES],
-    elem_data: Vec<&'a [f32]>,
-    elem_off: Vec<[usize; LANES]>,
-    scalar_f: Vec<[f32; 4]>,
-    scalar_i: Vec<i32>,
-    idx_vals: Vec<[[f32; 2]; LANES]>,
-    /// Maximum `indexof` component values of this launch's domain
-    /// ([`crate::eval::indexof_comp_max`]) — the runtime half of
-    /// [`crate::ProvenIdx::IndexofRel`] clamp elision.
-    comp_max: [i64; 2],
+}
+
+impl<'a> BlockFrame<'a> for Frame<'a> {
+    fn parts(&mut self) -> (&mut BlockIo<'a>, &mut [f32]) {
+        (&mut self.io, self.f)
+    }
 }
 
 /// One compiled execution step: a monomorphized closure with all
@@ -1021,21 +1017,30 @@ where
 {
     Box::new(move |fr| {
         let m = fr.m;
-        let data = fr.elem_data[p.slot];
-        let off = fr.elem_off[p.slot];
+        let span = fr.io.span(p.slot, m);
+        let data = fr.io.elem_data[p.slot];
+        let off = &fr.io.elem_off[p.slot];
         for c in 0..p.w {
             let cl = c * LANES;
             let d1 = p.d1 + cl;
             let x2 = p.a2 + if p.ab2 { 0 } else { cl };
             let y2 = p.b2 + if p.bb2 { 0 } else { cl };
             let d2 = p.d2 + cl;
-            tier_loop!(m, l, {
-                let t = data[off[l] + c];
-                fr.f[d1 + l] = t;
-                let xa = if p.ta { t } else { fr.f[x2 + l] };
-                let xb = if p.tb { t } else { fr.f[y2 + l] };
-                fr.f[d2 + l] = g2(xa, xb);
-            });
+            let lane = |f: &mut [f32], l: usize, t: f32| {
+                f[d1 + l] = t;
+                let xa = if p.ta { t } else { f[x2 + l] };
+                let xb = if p.tb { t } else { f[y2 + l] };
+                f[d2 + l] = g2(xa, xb);
+            };
+            if let Some(sp) = span {
+                for l in 0..LANES {
+                    lane(fr.f, l, sp[l * p.w + c]);
+                }
+            } else {
+                tier_loop!(m, l, {
+                    lane(fr.f, l, data[off[l] + c]);
+                });
+            }
         }
     })
 }
@@ -1063,7 +1068,7 @@ where
         // both coordinates inline, no dynamic index walk per lane.
         return Box::new(move |fr| {
             let m = fr.m;
-            let bindings = fr.bindings;
+            let bindings = fr.io.bindings;
             let Binding::Gather { data, shape, width } = &bindings[p.param] else {
                 unreachable!("gather binding validated at dispatch");
             };
@@ -1071,7 +1076,7 @@ where
                 let wd = *width as usize;
                 if proven
                     .as_ref()
-                    .is_some_and(|pr| crate::eval::proven_fits_dyn(pr, shape, fr.comp_max))
+                    .is_some_and(|pr| crate::eval::proven_fits_dyn(pr, shape, fr.io.comp_max))
                 {
                     // Analyzer-proven in-bounds: the fused inner loop
                     // (sgemm's hot path) runs clamp-free.
@@ -1115,7 +1120,7 @@ where
     }
     Box::new(move |fr| {
         let m = fr.m;
-        let bindings = fr.bindings;
+        let bindings = fr.io.bindings;
         let Binding::Gather { data, shape, width } = &bindings[p.param] else {
             unreachable!("gather binding validated at dispatch");
         };
@@ -1408,17 +1413,25 @@ fn simd_fuse_ff(level: SimdLevel, v1: simd::VfOp, v2: simd::VfOp, p: ZipZip) -> 
 fn simd_fuse_ra(level: SimdLevel, v2: simd::VfOp, p: EZip) -> Step {
     Box::new(move |fr| {
         let m = fr.m;
-        let data = fr.elem_data[p.slot];
-        let off = fr.elem_off[p.slot];
+        let span = fr.io.span(p.slot, m);
+        let data = fr.io.elem_data[p.slot];
+        let off = &fr.io.elem_off[p.slot];
         for c in 0..p.w {
             let cl = c * LANES;
             let d1 = p.d1 + cl;
             let mut t = [0.0f32; LANES];
-            tier_loop!(m, l, {
-                let v = data[off[l] + c];
-                t[l] = v;
-                fr.f[d1 + l] = v;
-            });
+            if let Some(sp) = span {
+                for (l, v) in t.iter_mut().enumerate() {
+                    *v = sp[l * p.w + c];
+                }
+                fr.f[d1..d1 + LANES].copy_from_slice(&t);
+            } else {
+                tier_loop!(m, l, {
+                    let v = data[off[l] + c];
+                    t[l] = v;
+                    fr.f[d1 + l] = v;
+                });
+            }
             let q = simd::TBuf {
                 d2: p.d2 + cl,
                 a2: p.a2 + if p.ab2 { 0 } else { cl },
@@ -1452,7 +1465,7 @@ fn simd_fuse_ga(
     if let Some((o0, o1)) = gather_ff(&idx) {
         return Box::new(move |fr| {
             let m = fr.m;
-            let bindings = fr.bindings;
+            let bindings = fr.io.bindings;
             let Binding::Gather { data, shape, width } = &bindings[p.param] else {
                 unreachable!("gather binding validated at dispatch");
             };
@@ -1461,7 +1474,7 @@ fn simd_fuse_ga(
                 let wd = *width as usize;
                 let unclamped = proven
                     .as_ref()
-                    .is_some_and(|pr| crate::eval::proven_fits_dyn(pr, shape, fr.comp_max));
+                    .is_some_and(|pr| crate::eval::proven_fits_dyn(pr, shape, fr.io.comp_max));
                 let mut lin = [0i32; LANES];
                 if simd::vf_gather2_idx(level, fr.f, o0, o1, d0, d1, !unclamped, &mut lin) {
                     tier_loop!(m, l, {
@@ -1510,7 +1523,7 @@ fn simd_fuse_ga(
     }
     Box::new(move |fr| {
         let m = fr.m;
-        let bindings = fr.bindings;
+        let bindings = fr.io.bindings;
         let Binding::Gather { data, shape, width } = &bindings[p.param] else {
             unreachable!("gather binding validated at dispatch");
         };
@@ -1755,8 +1768,12 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
             let (dst, w, slot) = (*dst as usize, *w as usize, *slot as usize);
             Box::new(move |fr| {
                 let m = fr.m;
-                let data = fr.elem_data[slot];
-                let off = fr.elem_off[slot];
+                if let Some(span) = fr.io.span(slot, m) {
+                    aos_to_soa(&mut fr.f[dst..dst + w * LANES], span, w, LANES);
+                    return;
+                }
+                let data = fr.io.elem_data[slot];
+                let off = &fr.io.elem_off[slot];
                 for c in 0..w {
                     let d = dst + c * LANES;
                     tier_loop!(m, l, {
@@ -1769,7 +1786,7 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
             let (dst, w, slot) = (*dst as usize, *w as usize, *slot as usize);
             Box::new(move |fr| {
                 let m = fr.m;
-                let v = fr.scalar_f[slot];
+                let v = fr.io.scalar_f[slot];
                 for (c, val) in v.iter().copied().take(w).enumerate() {
                     let d = dst + c * LANES;
                     tier_loop!(m, l, {
@@ -1782,7 +1799,7 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
             let (d, slot) = (*dst as usize, *slot as usize);
             Box::new(move |fr| {
                 let m = fr.m;
-                let v = fr.scalar_i[slot];
+                let v = fr.io.scalar_i[slot];
                 tier_loop!(m, l, {
                     fr.i[d + l] = v;
                 });
@@ -1800,7 +1817,7 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
             if let Some((o0, o1)) = gather_ff(idx) {
                 return Box::new(move |fr| {
                     let m = fr.m;
-                    let bindings = fr.bindings;
+                    let bindings = fr.io.bindings;
                     let Binding::Gather { data, shape, width } = &bindings[param] else {
                         unreachable!("gather binding validated at dispatch");
                     };
@@ -1808,7 +1825,7 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
                         let wd = *width as usize;
                         let unclamped = proven
                             .as_ref()
-                            .is_some_and(|p| crate::eval::proven_fits_dyn(p, shape, fr.comp_max));
+                            .is_some_and(|p| crate::eval::proven_fits_dyn(p, shape, fr.io.comp_max));
                         let mut lin = [0i32; LANES];
                         if simd::vf_gather2_idx(level, fr.f, o0, o1, d0, d1, !unclamped, &mut lin) {
                             // Index math vectorized (bit-exact, see
@@ -1866,13 +1883,13 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
             let idx = idx.clone();
             Box::new(move |fr| {
                 let m = fr.m;
-                let bindings = fr.bindings;
+                let bindings = fr.io.bindings;
                 let Binding::Gather { data, shape, width } = &bindings[param] else {
                     unreachable!("gather binding validated at dispatch");
                 };
                 if proven
                     .as_ref()
-                    .is_some_and(|p| crate::eval::proven_fits_dyn(p, shape, fr.comp_max))
+                    .is_some_and(|p| crate::eval::proven_fits_dyn(p, shape, fr.io.comp_max))
                 {
                     tier_loop!(m, l, {
                         let src = gather_linear_unclamped(fr, &idx, shape, l) * *width as usize;
@@ -1894,7 +1911,7 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
             let (d, slot) = (*dst as usize, *slot as usize);
             Box::new(move |fr| {
                 let m = fr.m;
-                let v = fr.idx_vals[slot];
+                let v = &fr.io.idx_vals[slot];
                 tier_loop!(m, l, {
                     fr.f[d + l] = v[l][0];
                     fr.f[d + LANES + l] = v[l][1];
@@ -2480,163 +2497,42 @@ pub fn run_kernel_range_in(
     domain_shape: &[usize],
     range: Range<usize>,
 ) -> Result<(), ExecError> {
-    let (dx, dy, linear) = domain_extents(domain_shape);
-    debug_assert!(range.end <= dx * dy, "domain range exceeds the domain");
-    // Binding validation mirrors the lane engine; anything unexpected
-    // runs the whole range through the lane engine, which owns the
-    // fallback surface from there.
-    macro_rules! lane_fallback {
-        () => {
-            return lanes::run_kernel_range_in(slabs, lane, kernel, bindings, outputs, domain_shape, range)
-        };
-    }
-    let mut out_buf = Vec::with_capacity(kernel.outputs.len());
-    for (slot, _) in kernel.output_params() {
-        match &bindings[kernel.outputs[slot as usize] as usize] {
-            Binding::Out(i) => out_buf.push(*i),
-            _ => lane_fallback!(),
-        }
-    }
-    let mut buf_width: Vec<Option<usize>> = vec![None; outputs.len()];
-    for (slot, bi) in out_buf.iter().enumerate() {
-        buf_width[*bi] = Some(lane.out_w[slot] as usize);
-    }
-    let mut elem_data = Vec::with_capacity(lane.elem_params.len());
-    let mut elem_shapes = Vec::with_capacity(lane.elem_params.len());
-    for (pi, w) in &lane.elem_params {
-        match &bindings[*pi as usize] {
-            Binding::Elem { data, shape, width } if width == w => {
-                elem_data.push(*data);
-                elem_shapes.push(*shape);
-            }
-            _ => lane_fallback!(),
-        }
-    }
-    let mut scalar_f = vec![[0.0f32; 4]; lane.scalar_params.len()];
-    let mut scalar_i = vec![0i32; lane.scalar_params.len()];
-    for (slot, (pi, ty)) in lane.scalar_params.iter().enumerate() {
-        match &bindings[*pi as usize] {
-            Binding::Scalar(v) if LaneTy::of_value(v) == *ty => match v {
-                Value::Int(x) => scalar_i[slot] = *x,
-                other => {
-                    scalar_f[slot][..other.lanes().len()].copy_from_slice(other.lanes());
-                }
-            },
-            _ => lane_fallback!(),
-        }
-    }
-    for (pi, w) in &lane.gather_params {
-        match &bindings[*pi as usize] {
-            Binding::Gather { width, .. } if width == w => {}
-            _ => lane_fallback!(),
-        }
-    }
-    for pi in &lane.indexof_params {
-        if matches!(&bindings[*pi as usize], Binding::Gather { .. }) {
-            lane_fallback!();
-        }
-    }
+    // Anything the plan cannot model runs the whole range through the
+    // lane engine, which owns the fallback surface from there.
+    let Some((layout, io)) =
+        BlockLayout::bind(lane, kernel, bindings, outputs.len(), domain_shape, range.clone())
+    else {
+        return lanes::run_kernel_range_in(slabs, lane, kernel, bindings, outputs, domain_shape, range);
+    };
     slabs.prepare(lane);
     let mut fr = Frame {
-        bindings,
+        io,
         f: slabs.f.as_mut_slice(),
         i: slabs.i.as_mut_slice(),
         b: &mut slabs.b,
         m: FULL,
         dead: 0,
         iters: [0; LANES],
-        elem_data,
-        elem_off: vec![[0; LANES]; lane.elem_params.len()],
-        scalar_f,
-        scalar_i,
-        idx_vals: vec![[[0.0; 2]; LANES]; lane.indexof_params.len()],
-        comp_max: crate::eval::indexof_comp_max((dx, dy), linear),
     };
     // The uniform prologue: hoisted dispatch-invariant steps, once,
     // at full mask (every lane of every block reads the same value).
     for s in &tier.prologue {
         s(&mut fr);
     }
-    let mut base = range.start;
-    while base < range.end {
-        let n = (range.end - base).min(LANES);
-        let mask: Mask = if n == LANES { FULL } else { (1u32 << n) - 1 };
-        fr.dead = 0;
-        fr.iters = [0; LANES];
-        for (si, shape) in elem_shapes.iter().enumerate() {
-            let cols = if shape.len() == 2 {
-                shape[1]
-            } else {
-                shape.iter().product()
-            };
-            let width = lane.elem_params[si].1 as usize;
-            for l in 0..n {
-                let p = base + l;
-                let (ix, iy) = input_index((p % dx, p / dx), (dx, dy), shape);
-                fr.elem_off[si][l] = (iy * cols + ix) * width;
-            }
-        }
-        for (si, pi) in lane.indexof_params.iter().enumerate() {
-            for l in 0..n {
-                let p = base + l;
-                let pos = (p % dx, p / dx);
-                fr.idx_vals[si][l] = match &bindings[*pi as usize] {
-                    Binding::Elem { shape, .. } => indexof_elem(pos, (dx, dy), shape),
-                    Binding::Out(_) | Binding::Scalar(_) => indexof_pos(pos, (dx, dy), linear),
-                    Binding::Gather { .. } => unreachable!("validated above"),
-                };
-            }
-        }
-        for (slot, bi) in out_buf.iter().enumerate() {
-            if !lane.out_preload[slot] {
-                continue;
-            }
-            let w = lane.out_w[slot] as usize;
-            let off = lane.out_off[slot] as usize;
-            let buf = &outputs[*bi];
-            for l in 0..n {
-                let src = (base + l - range.start) * w;
-                for c in 0..w {
-                    fr.f[off + c * LANES + l] = buf[src + c];
-                }
-            }
-        }
-        match exec_chain(&mut fr, &tier.chain, mask) {
-            Ok(()) => {
-                for (slot, bi) in out_buf.iter().enumerate() {
-                    let w = lane.out_w[slot] as usize;
-                    let off = lane.out_off[slot] as usize;
-                    let buf = &mut outputs[*bi];
-                    for l in 0..n {
-                        let dst = (base + l - range.start) * w;
-                        for c in 0..w {
-                            buf[dst + c] = fr.f[off + c * LANES + l];
-                        }
-                    }
-                }
-            }
-            Err(BailOut) => {
-                // Re-run exactly this block through the lane engine:
-                // it reproduces the scalar path's partial writes, fault
-                // choice, element attribution and span verbatim (its
-                // own bail re-runs the block scalar). No staged tier
-                // write has touched the real buffers.
-                let mut slices: Vec<&mut [f32]> = Vec::with_capacity(outputs.len());
-                for (bi, out) in outputs.iter_mut().enumerate() {
-                    match buf_width[bi] {
-                        Some(w) => {
-                            let s = (base - range.start) * w;
-                            slices.push(&mut out[s..s + n * w]);
-                        }
-                        None => slices.push(&mut out[0..0]),
-                    }
-                }
-                lanes::run_kernel_range(lane, kernel, bindings, &mut slices, domain_shape, base..base + n)?;
-            }
-        }
-        base += n;
-    }
-    Ok(())
+    layout.drive(
+        &mut fr,
+        outputs,
+        |fr, mask| {
+            fr.dead = 0;
+            fr.iters = [0; LANES];
+            exec_chain(fr, &tier.chain, mask).is_ok()
+        },
+        // Re-run exactly a bailed block through the lane engine: it
+        // reproduces the scalar path's partial writes, fault choice,
+        // element attribution and span verbatim (its own bail re-runs
+        // the block scalar).
+        |slices, block| lanes::run_kernel_range(lane, kernel, bindings, slices, domain_shape, block),
+    )
 }
 
 #[cfg(test)]
@@ -2646,6 +2542,7 @@ mod tests {
     use crate::lower::lower_kernel;
     use crate::ParamKind;
     use brook_lang::parse_and_check;
+    use glsl_es::Value;
 
     fn lower_src(src: &str) -> IrKernel {
         let checked = parse_and_check(src).expect("front-end");

@@ -671,7 +671,7 @@ fn handle_request(
                 cert_fingerprint: t.ctx.cert_config().fingerprint(),
                 backend: config.backend,
             };
-            let artifact = match cache.get_or_compile(key, || t.ctx.compile_artifact(source)) {
+            let artifact = match cache.get_or_compile(key, source, || t.ctx.compile_artifact(source)) {
                 Ok(a) => a,
                 Err(e) => return brook_error_response(e),
             };

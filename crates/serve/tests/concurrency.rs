@@ -61,7 +61,7 @@ fn n_threads_m_contexts_share_one_cache_bit_exactly() {
         let mut ctx = make_ctx(backend);
         let key = key_for(&ctx, if backend == "cpu" { "cpu" } else { "cpu-parallel" });
         cache
-            .get_or_compile(key, || ctx.compile_artifact(SOURCE))
+            .get_or_compile(key, SOURCE, || ctx.compile_artifact(SOURCE))
             .expect("warm");
     }
 
@@ -78,6 +78,7 @@ fn n_threads_m_contexts_share_one_cache_bit_exactly() {
                     let artifact = cache
                         .get_or_compile(
                             key_for(&ctx, if (ti + ci) % 2 == 0 { "cpu" } else { "cpu-parallel" }),
+                            SOURCE,
                             || ctx.compile_artifact(SOURCE),
                         )
                         .expect("compile");
@@ -126,13 +127,13 @@ fn cache_hits_do_not_bypass_foreign_module_rejection() {
     let mut a = BrookContext::cpu();
     let mut b = BrookContext::cpu();
     let artifact = cache
-        .get_or_compile(key_for(&a, "cpu"), || a.compile_artifact(SOURCE))
+        .get_or_compile(key_for(&a, "cpu"), SOURCE, || a.compile_artifact(SOURCE))
         .expect("compile");
     let m_a = a.adopt_artifact(&artifact).expect("adopt into a");
     // Context B takes the same artifact from the cache (a hit) and gets
     // its own stamped module...
     let hit = cache
-        .get_or_compile(key_for(&b, "cpu"), || b.compile_artifact(SOURCE))
+        .get_or_compile(key_for(&b, "cpu"), SOURCE, || b.compile_artifact(SOURCE))
         .expect("hit");
     assert!(Arc::ptr_eq(&artifact, &hit), "second lookup must be a hit");
     let m_b = b.adopt_artifact(&hit).expect("adopt into b");
@@ -190,10 +191,10 @@ fn cert_config_divergence_partitions_the_cache() {
     let k_b = key_for(&strict, "cpu");
     assert_ne!(k_a, k_b, "diverged configs must produce different keys");
     let art_a = cache
-        .get_or_compile(k_a, || a.compile_artifact(SOURCE))
+        .get_or_compile(k_a, SOURCE, || a.compile_artifact(SOURCE))
         .expect("compile a");
     let art_b = cache
-        .get_or_compile(k_b, || strict.compile_artifact(SOURCE))
+        .get_or_compile(k_b, SOURCE, || strict.compile_artifact(SOURCE))
         .expect("compile b");
     assert!(!Arc::ptr_eq(&art_a, &art_b));
     assert_eq!(cache.len(), 2);
