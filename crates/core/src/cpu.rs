@@ -936,14 +936,16 @@ pub(crate) fn exec_err(e: ir_interp::ExecError) -> BrookError {
 /// Builds the *positional* binding vector for an IR kernel launch.
 /// `launch.args` pairs every parameter in declaration order, which is
 /// exactly the IR's parameter order, so the translation is index-wise.
+/// `launch.outputs` lists the `Out` bindings in that same order, so the
+/// k-th `Out` argument is output buffer `k`.
 pub(crate) fn ir_bindings<'a>(
     streams: &'a [(StreamDesc, Vec<f32>)],
     launch_args: &[(String, BoundArg)],
-    out_index_of: &HashMap<&str, usize>,
 ) -> Vec<ir_interp::Binding<'a>> {
+    let mut next_out = 0;
     launch_args
         .iter()
-        .map(|(name, arg)| match arg {
+        .map(|(_, arg)| match arg {
             BoundArg::Elem(i) => {
                 let (desc, data) = &streams[*i];
                 ir_interp::Binding::Elem {
@@ -961,7 +963,10 @@ pub(crate) fn ir_bindings<'a>(
                 }
             }
             BoundArg::Scalar(v) => ir_interp::Binding::Scalar(*v),
-            BoundArg::Out(_) => ir_interp::Binding::Out(out_index_of[name.as_str()]),
+            BoundArg::Out(_) => {
+                next_out += 1;
+                ir_interp::Binding::Out(next_out - 1)
+            }
         })
         .collect()
 }
@@ -981,18 +986,26 @@ where
 {
     // Move output buffers out so the binding vector can borrow the
     // remaining streams immutably.
-    let mut out_bufs: Vec<Vec<f32>> = Vec::with_capacity(launch.outputs.len());
-    let mut out_index_of: HashMap<&str, usize> = HashMap::new();
-    for (name, idx) in &launch.outputs {
-        out_index_of.insert(name.as_str(), out_bufs.len());
-        out_bufs.push(std::mem::take(&mut streams[*idx].1));
-    }
+    let mut out_bufs: Vec<Vec<f32>> = launch
+        .outputs
+        .iter()
+        .map(|(_, idx)| std::mem::take(&mut streams[*idx].1))
+        .collect();
     let domain_shape = streams
         .get(launch.outputs[0].1)
         .map(|(desc, _)| desc.shape.clone())
         .ok_or_else(|| BrookError::Internal("launch output index out of range of the stream table".into()))?;
     let result = {
-        let bindings = ir_bindings(streams, &launch.args, &out_index_of);
+        debug_assert!(
+            launch
+                .args
+                .iter()
+                .filter(|(_, a)| matches!(a, BoundArg::Out(_)))
+                .map(|(n, _)| n)
+                .eq(launch.outputs.iter().map(|(n, _)| n)),
+            "launch outputs must list the `Out` arguments in parameter order"
+        );
+        let bindings = ir_bindings(streams, &launch.args);
         runner(kernel, &bindings, &mut out_bufs, &domain_shape)
     };
     for ((_, idx), buf) in launch.outputs.iter().zip(out_bufs) {

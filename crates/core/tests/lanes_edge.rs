@@ -167,7 +167,8 @@ fn two_d_domains_match_scalar_across_row_boundaries() {
         float2 p = indexof(o);
         o = p.y * 1000.0 + p.x + a * 0.5;
     }";
-    // 7 columns: every 16-lane block spans two or three rows.
+    // 7 columns: every block spans several rows, so row boundaries
+    // fall mid-block.
     let (rows, cols) = (9usize, 7usize);
     let data: Vec<f32> = (0..rows * cols).map(|i| i as f32 * 0.11).collect();
     let mut results = Vec::new();

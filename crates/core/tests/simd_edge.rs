@@ -19,7 +19,7 @@ const EDGE_SRC: &str = "kernel void edge(float a<>, float b<>, out float o<>) {
 }";
 
 /// 2-D gather kernel: hits the AVX2 gather-index kernel (address
-/// computation for 16 lanes at once) including its clamped edges.
+/// computation a 16-lane group at a time) including its clamped edges.
 const GATHER_SRC: &str = "kernel void gsum(float t[][], out float o<>) {
     float2 p = indexof(o);
     o = t[p.y][p.x] * 2.0 + t[p.y + 1.0][p.x + 1.0];
@@ -217,10 +217,12 @@ fn mid_block_fault_matches_scalar_error_and_partial_writes() {
     let kdef = checked.program.kernels().next().expect("kernel");
     let k = brook_ir::lower::lower_kernel(&checked, kdef).expect("lower");
     let lane = brook_ir::lanes::plan(&k).expect("lane plan");
+    // Every element but `bad` stays below the loop bound (0.5) at any
+    // block width, so `bad` is the only element that spins.
     let n = 2 * LANES + 7;
     let bad = LANES + 5; // mid-lane of the second block
     let input: Vec<f32> = (0..n)
-        .map(|i| if i == bad { 1.0 } else { 0.01 * i as f32 })
+        .map(|i| if i == bad { 1.0 } else { 0.4 * i as f32 / n as f32 })
         .collect();
     let shape = [n];
     let run = |level: SimdLevel| {
@@ -285,4 +287,176 @@ fn public_api_fault_renders_identically_with_and_without_simd() {
     assert_eq!(scalar, render(SimdMode::Sse2));
     assert!(scalar.contains(&format!("element {bad},")), "{scalar}");
     assert!(scalar.contains("source line 3:"), "{scalar}");
+}
+
+/// Runs `src`'s first kernel through Tier-2 at `level` over an
+/// `n`-element 1-D domain: one input stream per entry of `inputs`, one
+/// output stream, output pre-filled with a sentinel so partial writes
+/// show. Returns the output and the run's result.
+fn run_tier_at(
+    src: &str,
+    level: SimdLevel,
+    inputs: &[Vec<f32>],
+    n: usize,
+) -> (Vec<f32>, Result<(), brook_ir::interp::ExecError>) {
+    use brook_ir::interp::Binding;
+    let checked = brook_lang::parse_and_check(src).expect("check");
+    let kdef = checked.program.kernels().next().expect("kernel");
+    let k = brook_ir::lower::lower_kernel(&checked, kdef).expect("lower");
+    let lane = brook_ir::lanes::plan(&k).expect("lane plan");
+    let tier = brook_ir::tier::compile_simd(&lane, &k, None, level).expect("tier compiles");
+    let shape = [n];
+    let mut bindings: Vec<Binding<'_>> = inputs
+        .iter()
+        .map(|data| Binding::Elem {
+            data,
+            shape: &shape,
+            width: 1,
+        })
+        .collect();
+    bindings.push(Binding::Out(0));
+    let mut buf = vec![-7.0f32; n];
+    let res = {
+        let mut outs: Vec<&mut [f32]> = vec![&mut buf];
+        brook_ir::tier::run_kernel_range(&tier, &lane, &k, &bindings, &mut outs, &shape, 0..n)
+    };
+    (buf, res)
+}
+
+/// Asserts that Sse2 and the detected level reproduce the forced-scalar
+/// Tier-2 run bit for bit: outputs (partial writes included) and the
+/// fault, if any. Returns the forced-scalar result.
+fn assert_levels_agree(
+    src: &str,
+    inputs: &[Vec<f32>],
+    n: usize,
+    ctx: &str,
+) -> Result<(), brook_ir::interp::ExecError> {
+    let (sbuf, sres) = run_tier_at(src, SimdLevel::Scalar, inputs, n);
+    for level in [SimdLevel::Sse2, simd::detect()] {
+        let (vbuf, vres) = run_tier_at(src, level, inputs, n);
+        assert_eq!(
+            sres, vres,
+            "{ctx} level {level}: fault must be the scalar fault verbatim"
+        );
+        for (i, (x, y)) in sbuf.iter().zip(&vbuf).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{ctx} level {level} element {i}: scalar {x} vs simd {y}"
+            );
+        }
+    }
+    sres
+}
+
+/// Divergent kernel: the `if` and the `while` trip count both follow
+/// the input, so one block holds 16-lane groups where a region is
+/// fully off, fully on and partial. The compound assignments write `s`
+/// in place, so a store that strayed into a masked-off lane would
+/// change what the other arm, or a lane that left the loop, reads.
+const DIVERGE_SRC: &str = "kernel void dv(float a<>, out float o<>) {
+    o = a * 2.0;
+    float s = a;
+    if (a > 1.0) {
+        s *= 0.5;
+        s += 0.25;
+    } else {
+        s = 0.75 - s;
+    }
+    while (s > 1.0) {
+        s -= 0.375;
+    }
+    o = o + s;
+}";
+
+/// Input of element `i` for [`DIVERGE_SRC`], by its 16-lane group
+/// within the block: group 0 takes the `then` arm and loops, group 1
+/// takes the `else` arm and never loops, group 2 mixes all three
+/// paths, and group 3 splits on a scattered lane pattern.
+fn diverge_input(i: usize) -> f32 {
+    let k = (i % 11) as f32;
+    match (i % LANES / 16) % 4 {
+        0 => 2.0 + k * 0.7,
+        1 => k / 11.0,
+        2 => match i % 3 {
+            0 => 2.0 + k * 0.7,
+            1 => -1.5 - k * 0.3,
+            _ => k / 11.0,
+        },
+        _ => {
+            if (i * 7) % 5 < 2 {
+                2.0 + k * 0.7
+            } else {
+                -1.5 - k * 0.3
+            }
+        }
+    }
+}
+
+/// Divergent control flow across 16-lane groups, for every remainder
+/// of a final partial block: outputs agree bitwise across levels.
+#[test]
+fn divergent_groups_agree_bitwise_for_every_remainder() {
+    for r in 1..=LANES {
+        let n = LANES + r;
+        let input: Vec<f32> = (0..n).map(diverge_input).collect();
+        let res = assert_levels_agree(DIVERGE_SRC, &[input], n, &format!("remainder {r}"));
+        assert!(res.is_ok(), "remainder {r}: {res:?}");
+    }
+}
+
+/// The same kernel with one lane that spins forever (`+inf` never
+/// drops below the loop bound) in the second block: the fault text
+/// and partial writes are the scalar path's at every level. Each
+/// fault runs the 2^22-iteration budget through three engines (about
+/// half a second in release, several in debug), so this leg takes
+/// three remainders rather than all of them: a one-lane block, a block
+/// ending one lane into its second group, and a full block.
+#[test]
+fn divergent_group_fault_matches_scalar_at_group_edges() {
+    let mut rems = vec![1, 17.min(LANES), LANES];
+    rems.dedup();
+    for r in rems {
+        let n = LANES + r;
+        let bad = LANES + (r - 1) / 2;
+        let mut input: Vec<f32> = (0..n).map(diverge_input).collect();
+        input[bad] = f32::INFINITY;
+        let ctx = format!("remainder {r}, fault at {bad}");
+        let err = assert_levels_agree(DIVERGE_SRC, &[input], n, &ctx)
+            .expect_err("the +inf lane must exhaust the budget");
+        assert_eq!(err.element, Some(bad), "{ctx}");
+    }
+}
+
+/// Compare/select kernel whose compare bits differ lane by lane in
+/// every 16-lane group (NaN lanes included), for every remainder.
+/// Reading the inputs into locals first keeps each multiply next to
+/// the compare or subtract that consumes it (no element fetch in
+/// between), so the fused arith→compare and arith→arith kernels run
+/// beside the plain compare and select.
+const CMPSEL_SRC: &str = "kernel void cs(float a<>, float b<>, out float o<>) {
+    float c = b;
+    float d = a;
+    float u = d * c > c ? d * c - d : c + d;
+    o = d < u ? u : d - c;
+}";
+
+#[test]
+fn compare_select_bits_agree_bitwise_across_groups() {
+    for r in 1..=LANES {
+        let n = 2 * LANES + r;
+        let a: Vec<f32> = (0..n)
+            .map(|i| {
+                if i % 13 == 5 {
+                    f32::NAN
+                } else {
+                    (i as f32 * 0.37).sin() * 3.0
+                }
+            })
+            .collect();
+        let b: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos() * 2.0 - 0.2).collect();
+        let res = assert_levels_agree(CMPSEL_SRC, &[a, b], n, &format!("remainder {r}"));
+        assert!(res.is_ok(), "remainder {r}: {res:?}");
+    }
 }

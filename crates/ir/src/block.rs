@@ -354,7 +354,7 @@ impl<'k> BlockLayout<'k> {
         let mut base = start;
         while base < self.range.end {
             let n = (self.range.end - base).min(LANES);
-            let mask: Mask = if n == LANES { FULL } else { (1u32 << n) - 1 };
+            let mask: Mask = if n == LANES { FULL } else { (1 << n) - 1 };
             let (io, f) = eng.parts();
             self.address(io, base, n);
             for (slot, &bi) in self.out_buf.iter().enumerate() {

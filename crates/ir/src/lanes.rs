@@ -52,16 +52,49 @@ use brook_lang::builtins::BUILTINS;
 use glsl_es::Value;
 use std::ops::Range;
 
-/// Elements per execution block. 16 lanes keep every register slab
-/// inside one or two cache lines per component while giving rustc
-/// full-width autovectorization windows.
-pub const LANES: usize = 16;
+/// Elements per execution block. Every block pays a fixed cost that
+/// does not depend on its width: addressing, output preload and
+/// write-back in the block driver, and per step a boxed-closure call,
+/// operand setup, mask tests and a SIMD level dispatch. 64 lanes spread
+/// that cost over four times the work of a 16-lane block, while one
+/// register component (256 bytes) still fits four cache lines. The
+/// explicit-SIMD kernels ([`crate::simd`]) walk the block as
+/// `LANES / 16` groups of 16 lanes inside one dispatch.
+pub const LANES: usize = 64;
 
 /// A per-lane execution mask (bit `l` = lane `l` active).
-pub type Mask = u32;
+pub type Mask = u64;
 
 /// Mask with every lane of a full block active.
-pub const FULL: Mask = (1 << LANES) - 1;
+pub const FULL: Mask = Mask::MAX >> (Mask::BITS as usize - LANES);
+
+// The SIMD kernels walk whole 16-lane groups, and every lane needs a
+// mask bit.
+const _: () = assert!(LANES.is_multiple_of(16) && LANES <= Mask::BITS as usize);
+
+/// Counts one taken loop back-edge for every lane in `m` against the
+/// scalar iteration budget; `false` once some lane exceeds it (the
+/// caller then re-runs the block on a slower rung, so which lane
+/// crossed first does not matter). A full mask takes a straight
+/// increment over all lanes and one max check instead of a bit walk.
+pub(crate) fn bump_iters(iters: &mut [u32; LANES], m: Mask) -> bool {
+    if m == FULL {
+        for it in iters.iter_mut() {
+            *it += 1;
+        }
+        return iters.iter().all(|&it| u64::from(it) <= MAX_ITERATIONS);
+    }
+    let mut mm = m;
+    while mm != 0 {
+        let l = mm.trailing_zeros() as usize;
+        iters[l] += 1;
+        if u64::from(iters[l]) > MAX_ITERATIONS {
+            return false;
+        }
+        mm &= mm - 1;
+    }
+    true
+}
 
 /// The element span of lane-engine block `block` within a stream of
 /// `len` elements. `block` is taken modulo the stream's block count, so
@@ -1861,16 +1894,11 @@ impl Engine<'_, '_> {
     /// The scalar iteration budget, per lane: every taken back-edge
     /// counts once for every lane that takes it.
     fn bump_iters(&mut self, m: Mask) -> Result<(), Bail> {
-        let mut mm = m;
-        while mm != 0 {
-            let l = mm.trailing_zeros() as usize;
-            self.iters[l] += 1;
-            if u64::from(self.iters[l]) > MAX_ITERATIONS {
-                return Err(Bail);
-            }
-            mm &= mm - 1;
+        if bump_iters(&mut self.iters, m) {
+            Ok(())
+        } else {
+            Err(Bail)
         }
-        Ok(())
     }
 
     #[allow(clippy::too_many_lines)]

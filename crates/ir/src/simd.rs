@@ -2,12 +2,23 @@
 //!
 //! Tier-2 (`crate::tier`) threads BrookIR into native closures over the
 //! lane engine's structure-of-arrays slabs and *hopes* rustc
-//! autovectorizes the 16-lane loop bodies. This module removes the
-//! hope: the hot slab operations get hand-written `core::arch::x86_64`
-//! SSE2/AVX2 kernels selected by **runtime feature detection**
-//! ([`detect`]), with the scalar loop bodies retained verbatim (see
-//! [`mod@self`]'s `scalar` submodule) as the portable fallback for
-//! non-x86_64 targets and the `BROOK_SIMD=off` override.
+//! autovectorizes the [`LANES`]-wide loop bodies. This module removes
+//! the hope: the hot slab operations get hand-written
+//! `core::arch::x86_64` SSE2/AVX2 kernels selected by **runtime feature
+//! detection** ([`detect`]), with the scalar loop bodies retained
+//! verbatim (see [`mod@self`]'s `scalar` submodule) as the portable
+//! fallback for non-x86_64 targets and the `BROOK_SIMD=off` override.
+//!
+//! ## The 16-lane group walk
+//!
+//! A block is [`LANES`] (64) lanes; every vector kernel walks it as
+//! `LANES / 16` groups of 16 lanes inside its own `#[target_feature]`
+//! body, so one level dispatch serves the whole block step. Each group
+//! takes its 16-bit slice of the execution mask: a group with no live
+//! lane is skipped, a fully live group takes plain stores, and a
+//! partial group takes the masked blend below. Groups are independent
+//! because every slab register is [`LANES`]-aligned, so group `g` of
+//! one register only ever meets group `g` of another.
 //!
 //! ## The bit-exactness rules
 //!
@@ -23,12 +34,12 @@
 //!    sequence replicates rustc's exact lowering —
 //!    `nan = unord(a, a); t = min_ps(b, a); blend(t, b, nan)` — so
 //!    every lane equals `f32::min(a, b)` bit-for-bit, NaN included.
-//! 3. **Masked blends, not masked math.** Partial blocks compute all
-//!    16 lanes (slabs are always initialized and `f32` arithmetic on
-//!    dead-lane garbage has no observable effect) and then blend-store
-//!    only the live lanes, which is exactly the scalar masked walk's
-//!    write set. Per-lane *memory* walks (element reads, gathers)
-//!    still touch live lanes only.
+//! 3. **Masked blends, not masked math.** A partial group computes
+//!    all 16 lanes (slabs are always initialized and `f32` arithmetic
+//!    on dead-lane garbage has no observable effect) and then
+//!    blend-stores only the live lanes, which is exactly the scalar
+//!    masked walk's write set. Per-lane *memory* walks (element reads,
+//!    gathers) still touch live lanes only.
 //!
 //! Faults keep falling through SIMD → tier → lanes → scalar: the SIMD
 //! steps are straight-line arithmetic and cannot fault; control flow,
@@ -428,16 +439,16 @@ pub(crate) mod scalar {
         });
     }
 
-    /// All-lane compare bits; lanes outside the caller's mask are
-    /// unspecified (the caller blends with its mask).
-    pub(super) fn vf_cmp(op: COp, f: &[f32], x: usize, y: usize) -> Mask {
+    /// Compare bits of the lanes of `m`; bits outside the caller's
+    /// mask are unspecified (the caller blends with its mask).
+    pub(super) fn vf_cmp(op: COp, f: &[f32], x: usize, y: usize, m: Mask) -> Mask {
         let g = cop(op);
         let mut bits: Mask = 0;
-        for l in 0..LANES {
+        simd_loop!(m, l, {
             if g(f[x + l], f[y + l]) {
                 bits |= 1 << l;
             }
-        }
+        });
         bits
     }
 
@@ -496,8 +507,35 @@ pub(crate) mod scalar {
 // x86_64 kernels.
 // ---------------------------------------------------------------------------
 
-/// Lane-mask expansion tables: bit `l` of the mask selects all-ones in
-/// word `l`. `MASK4` serves SSE2 nibbles, `MASK8` AVX2 half-blocks.
+/// Lanes per kernel group (see "The 16-lane group walk" above).
+#[cfg(target_arch = "x86_64")]
+const GROUP: usize = 16;
+
+/// The sub-mask of a group whose 16 lanes are all live.
+#[cfg(target_arch = "x86_64")]
+const GROUP_FULL: u32 = 0xFFFF;
+
+/// The 16-bit sub-mask of the group starting at lane `o`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn group_bits(m: Mask, o: usize) -> u32 {
+    ((m >> o) & 0xFFFF) as u32
+}
+
+/// The groups of `m` with at least one live lane, as `(first lane,
+/// sub-mask)`; fully dead groups are skipped.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn live_groups(m: Mask) -> impl Iterator<Item = (usize, u32)> {
+    (0..LANES)
+        .step_by(GROUP)
+        .map(move |o| (o, group_bits(m, o)))
+        .filter(|&(_, sm)| sm != 0)
+}
+
+/// Lane-mask expansion tables: bit `l` of a group sub-mask selects
+/// all-ones in word `l`. `MASK4` serves SSE2 nibbles, `MASK8` AVX2
+/// half-groups.
 #[cfg(target_arch = "x86_64")]
 static MASK4: [[i32; 4]; 16] = build_mask4();
 #[cfg(target_arch = "x86_64")]
@@ -537,12 +575,22 @@ const fn build_mask8() -> [[i32; 8]; 256] {
     t
 }
 
-/// 128-bit kernels. SSE2 is in the x86_64 baseline, so these are
-/// always sound to call on this architecture.
+/// 128-bit kernels. SSE2 is in the x86_64 baseline, so the ISA is
+/// always present on this architecture.
+///
+/// # Safety
+///
+/// Every slab offset a caller passes must be a multiple of [`LANES`]
+/// into an [`AlignedF32`] arena, so each 16-lane group load and store
+/// is 16-byte aligned (debug-asserted). Offsets are range-checked by
+/// slicing, so a wrong offset panics instead of touching memory
+/// outside the slab.
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
-    use super::{FusedFC, FusedFF, TBuf, VfOp, ViOp, VuOp, MASK4};
-    use crate::lanes::{COp, Mask, FULL, LANES};
+    use super::{
+        group_bits, live_groups, FusedFC, FusedFF, TBuf, VfOp, ViOp, VuOp, GROUP, GROUP_FULL, MASK4,
+    };
+    use crate::lanes::{COp, Mask, LANES};
     use core::arch::x86_64::*;
 
     #[inline(always)]
@@ -590,12 +638,12 @@ mod sse2 {
         }
     }
 
-    /// Loads one [`LANES`]-float slab block as 4 vectors.
+    /// Loads the 16-lane group at `off` of a slab as 4 vectors.
     #[inline(always)]
     unsafe fn ld(f: &[f32], off: usize) -> [__m128; 4] {
-        let s = &f[off..off + LANES];
+        let s = &f[off..off + GROUP];
         let p = s.as_ptr();
-        debug_assert_eq!(p as usize % 16, 0, "slab block not 16-byte aligned");
+        debug_assert_eq!(p as usize % 16, 0, "slab group not 16-byte aligned");
         [
             _mm_load_ps(p),
             _mm_load_ps(p.add(4)),
@@ -604,10 +652,10 @@ mod sse2 {
         ]
     }
 
-    /// Loads one 16-float stack buffer (unaligned).
+    /// Loads the 16-lane group at `off` of a stack buffer (unaligned).
     #[inline(always)]
-    unsafe fn ldu(t: &[f32; LANES]) -> [__m128; 4] {
-        let p = t.as_ptr();
+    unsafe fn ldu(t: &[f32; LANES], off: usize) -> [__m128; 4] {
+        let p = t[off..off + GROUP].as_ptr();
         [
             _mm_loadu_ps(p),
             _mm_loadu_ps(p.add(4)),
@@ -616,14 +664,15 @@ mod sse2 {
         ]
     }
 
-    /// Mask-blend-stores one slab block: live lanes take `v`, dead
-    /// lanes keep memory — the scalar walk's exact write set.
+    /// Mask-blend-stores one 16-lane group: live lanes (bits of `sm`)
+    /// take `v`, dead lanes keep memory — the scalar walk's exact
+    /// write set.
     #[inline(always)]
-    unsafe fn st(f: &mut [f32], off: usize, v: [__m128; 4], m: Mask) {
-        let s = &mut f[off..off + LANES];
+    unsafe fn st(f: &mut [f32], off: usize, v: [__m128; 4], sm: u32) {
+        let s = &mut f[off..off + GROUP];
         let p = s.as_mut_ptr();
-        debug_assert_eq!(p as usize % 16, 0, "slab block not 16-byte aligned");
-        if m == FULL {
+        debug_assert_eq!(p as usize % 16, 0, "slab group not 16-byte aligned");
+        if sm == GROUP_FULL {
             _mm_store_ps(p, v[0]);
             _mm_store_ps(p.add(4), v[1]);
             _mm_store_ps(p.add(8), v[2]);
@@ -631,7 +680,7 @@ mod sse2 {
             return;
         }
         for (q, vq) in v.iter().enumerate() {
-            let nib = ((m >> (q * 4)) & 0xF) as usize;
+            let nib = ((sm >> (q * 4)) & 0xF) as usize;
             if nib == 0 {
                 continue;
             }
@@ -656,20 +705,9 @@ mod sse2 {
         ]
     }
 
-    pub(super) unsafe fn vf_bin(op: VfOp, f: &mut [f32], d: usize, x: usize, y: usize, m: Mask) {
-        let r = zip(op, ld(f, x), ld(f, y));
-        st(f, d, r, m);
-    }
-
-    pub(super) unsafe fn vf_un(op: VuOp, f: &mut [f32], d: usize, x: usize, m: Mask) {
-        let a = ld(f, x);
-        let r = [vu(op, a[0]), vu(op, a[1]), vu(op, a[2]), vu(op, a[3])];
-        st(f, d, r, m);
-    }
-
-    pub(super) unsafe fn vf_cmp(op: COp, f: &[f32], x: usize, y: usize) -> Mask {
-        let a = ld(f, x);
-        let b = ld(f, y);
+    /// The 16 compare bits of one group.
+    #[inline(always)]
+    unsafe fn cmp_bits(op: COp, a: [__m128; 4], b: [__m128; 4]) -> Mask {
         let mut bits: Mask = 0;
         for q in 0..4 {
             bits |= (_mm_movemask_ps(vc(op, a[q], b[q])) as Mask) << (q * 4);
@@ -677,21 +715,47 @@ mod sse2 {
         bits
     }
 
-    pub(super) unsafe fn vf_sel(f: &mut [f32], d: usize, a: usize, b: usize, cond: Mask, m: Mask) {
-        let va = ld(f, a);
-        let vb = ld(f, b);
-        let mut r = [_mm_setzero_ps(); 4];
-        for (q, rq) in r.iter_mut().enumerate() {
-            let nib = ((cond >> (q * 4)) & 0xF) as usize;
-            let cm = _mm_castsi128_ps(_mm_loadu_si128(MASK4[nib].as_ptr().cast()));
-            *rq = _mm_or_ps(_mm_and_ps(cm, va[q]), _mm_andnot_ps(cm, vb[q]));
+    pub(super) unsafe fn vf_bin(op: VfOp, f: &mut [f32], d: usize, x: usize, y: usize, m: Mask) {
+        for (o, sm) in live_groups(m) {
+            let r = zip(op, ld(f, x + o), ld(f, y + o));
+            st(f, d + o, r, sm);
         }
-        st(f, d, r, m);
+    }
+
+    pub(super) unsafe fn vf_un(op: VuOp, f: &mut [f32], d: usize, x: usize, m: Mask) {
+        for (o, sm) in live_groups(m) {
+            let a = ld(f, x + o);
+            let r = [vu(op, a[0]), vu(op, a[1]), vu(op, a[2]), vu(op, a[3])];
+            st(f, d + o, r, sm);
+        }
+    }
+
+    pub(super) unsafe fn vf_cmp(op: COp, f: &[f32], x: usize, y: usize, m: Mask) -> Mask {
+        let mut bits: Mask = 0;
+        for (o, _) in live_groups(m) {
+            bits |= cmp_bits(op, ld(f, x + o), ld(f, y + o)) << o;
+        }
+        bits
+    }
+
+    pub(super) unsafe fn vf_sel(f: &mut [f32], d: usize, a: usize, b: usize, cond: Mask, m: Mask) {
+        for (o, sm) in live_groups(m) {
+            let va = ld(f, a + o);
+            let vb = ld(f, b + o);
+            let cg = group_bits(cond, o);
+            let mut r = [_mm_setzero_ps(); 4];
+            for (q, rq) in r.iter_mut().enumerate() {
+                let nib = ((cg >> (q * 4)) & 0xF) as usize;
+                let cm = _mm_castsi128_ps(_mm_loadu_si128(MASK4[nib].as_ptr().cast()));
+                *rq = _mm_or_ps(_mm_and_ps(cm, va[q]), _mm_andnot_ps(cm, vb[q]));
+            }
+            st(f, d + o, r, sm);
+        }
     }
 
     #[inline(always)]
     unsafe fn ldi(i: &[i32], off: usize) -> [__m128i; 4] {
-        let s = &i[off..off + LANES];
+        let s = &i[off..off + GROUP];
         let p = s.as_ptr().cast::<__m128i>();
         [
             _mm_loadu_si128(p),
@@ -716,70 +780,76 @@ mod sse2 {
             super::scalar::vi_bin(op, i, d, x, y, m);
             return;
         }
-        let a = ldi(i, x);
-        let b = ldi(i, y);
-        let r = [
-            gi(op, a[0], b[0]),
-            gi(op, a[1], b[1]),
-            gi(op, a[2], b[2]),
-            gi(op, a[3], b[3]),
-        ];
-        let s = &mut i[d..d + LANES];
-        let p = s.as_mut_ptr().cast::<__m128i>();
-        if m == FULL {
-            _mm_storeu_si128(p, r[0]);
-            _mm_storeu_si128(p.add(1), r[1]);
-            _mm_storeu_si128(p.add(2), r[2]);
-            _mm_storeu_si128(p.add(3), r[3]);
-            return;
-        }
-        for (q, rq) in r.iter().enumerate() {
-            let nib = ((m >> (q * 4)) & 0xF) as usize;
-            if nib == 0 {
+        for (o, sm) in live_groups(m) {
+            let a = ldi(i, x + o);
+            let b = ldi(i, y + o);
+            let r = [
+                gi(op, a[0], b[0]),
+                gi(op, a[1], b[1]),
+                gi(op, a[2], b[2]),
+                gi(op, a[3], b[3]),
+            ];
+            let s = &mut i[d + o..d + o + GROUP];
+            let p = s.as_mut_ptr().cast::<__m128i>();
+            if sm == GROUP_FULL {
+                _mm_storeu_si128(p, r[0]);
+                _mm_storeu_si128(p.add(1), r[1]);
+                _mm_storeu_si128(p.add(2), r[2]);
+                _mm_storeu_si128(p.add(3), r[3]);
                 continue;
             }
-            let pq = p.add(q);
-            if nib == 0xF {
-                _mm_storeu_si128(pq, *rq);
-            } else {
-                let mi = _mm_loadu_si128(MASK4[nib].as_ptr().cast());
-                let old = _mm_loadu_si128(pq);
-                _mm_storeu_si128(
-                    pq,
-                    _mm_or_si128(_mm_and_si128(mi, *rq), _mm_andnot_si128(mi, old)),
-                );
+            for (q, rq) in r.iter().enumerate() {
+                let nib = ((sm >> (q * 4)) & 0xF) as usize;
+                if nib == 0 {
+                    continue;
+                }
+                let pq = p.add(q);
+                if nib == 0xF {
+                    _mm_storeu_si128(pq, *rq);
+                } else {
+                    let mi = _mm_loadu_si128(MASK4[nib].as_ptr().cast());
+                    let old = _mm_loadu_si128(pq);
+                    _mm_storeu_si128(
+                        pq,
+                        _mm_or_si128(_mm_and_si128(mi, *rq), _mm_andnot_si128(mi, old)),
+                    );
+                }
             }
         }
     }
 
     pub(super) unsafe fn vf_fused_ff(op1: VfOp, op2: VfOp, f: &mut [f32], p: FusedFF, m: Mask) {
-        let t = zip(op1, ld(f, p.x1), ld(f, p.y1));
-        // Store op1's block before loading op2's operands: an operand
-        // aliasing `d1` must observe the freshly stored lanes, exactly
-        // as the scalar per-lane order does.
-        st(f, p.d1, t, m);
-        let xa = if p.ta { t } else { ld(f, p.x2) };
-        let xb = if p.tb { t } else { ld(f, p.y2) };
-        st(f, p.d2, zip(op2, xa, xb), m);
+        for (o, sm) in live_groups(m) {
+            let t = zip(op1, ld(f, p.x1 + o), ld(f, p.y1 + o));
+            // Store op1's group before loading op2's operands: an
+            // operand aliasing `d1` must observe the freshly stored
+            // lanes, exactly as the scalar per-lane order does.
+            st(f, p.d1 + o, t, sm);
+            let xa = if p.ta { t } else { ld(f, p.x2 + o) };
+            let xb = if p.tb { t } else { ld(f, p.y2 + o) };
+            st(f, p.d2 + o, zip(op2, xa, xb), sm);
+        }
     }
 
     pub(super) unsafe fn vf_fused_fc(op1: VfOp, cmp: COp, f: &mut [f32], p: FusedFC, m: Mask) -> Mask {
-        let t = zip(op1, ld(f, p.x1), ld(f, p.y1));
-        st(f, p.d1, t, m);
-        let xa = if p.ta { t } else { ld(f, p.x2) };
-        let xb = if p.tb { t } else { ld(f, p.y2) };
         let mut bits: Mask = 0;
-        for q in 0..4 {
-            bits |= (_mm_movemask_ps(vc(cmp, xa[q], xb[q])) as Mask) << (q * 4);
+        for (o, sm) in live_groups(m) {
+            let t = zip(op1, ld(f, p.x1 + o), ld(f, p.y1 + o));
+            st(f, p.d1 + o, t, sm);
+            let xa = if p.ta { t } else { ld(f, p.x2 + o) };
+            let xb = if p.tb { t } else { ld(f, p.y2 + o) };
+            bits |= cmp_bits(cmp, xa, xb) << o;
         }
         bits
     }
 
     pub(super) unsafe fn vf_arith_tbuf(op: VfOp, f: &mut [f32], t: &[f32; LANES], p: TBuf, m: Mask) {
-        let tv = ldu(t);
-        let xa = if p.ta { tv } else { ld(f, p.a2) };
-        let xb = if p.tb { tv } else { ld(f, p.b2) };
-        st(f, p.d2, zip(op, xa, xb), m);
+        for (o, sm) in live_groups(m) {
+            let tv = ldu(t, o);
+            let xa = if p.ta { tv } else { ld(f, p.a2 + o) };
+            let xb = if p.tb { tv } else { ld(f, p.b2 + o) };
+            st(f, p.d2 + o, zip(op, xa, xb), sm);
+        }
     }
 
     /// Plain `minps`/`maxps` fold. Only sound under the reduce
@@ -809,11 +879,20 @@ mod sse2 {
     }
 }
 
-/// 256-bit kernels, called only after `is_x86_feature_detected!("avx2")`.
+/// 256-bit kernels.
+///
+/// # Safety
+///
+/// Callers must have confirmed AVX2 with `is_x86_feature_detected!`
+/// (every level reaching here is capped at [`detect`]). Slab offsets
+/// follow the SSE2 rule, which here gives the 32-byte alignment the
+/// aligned group loads and stores need (debug-asserted).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{FusedFC, FusedFF, TBuf, VfOp, ViOp, VuOp, MASK8};
-    use crate::lanes::{COp, Mask, FULL, LANES};
+    use super::{
+        group_bits, live_groups, FusedFC, FusedFF, TBuf, VfOp, ViOp, VuOp, GROUP, GROUP_FULL, MASK8,
+    };
+    use crate::lanes::{COp, Mask, LANES};
     use core::arch::x86_64::*;
 
     #[inline]
@@ -859,35 +938,37 @@ mod avx2 {
         }
     }
 
+    /// Loads the 16-lane group at `off` of a slab as 2 vectors.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn ld(f: &[f32], off: usize) -> [__m256; 2] {
-        let s = &f[off..off + LANES];
+        let s = &f[off..off + GROUP];
         let p = s.as_ptr();
-        debug_assert_eq!(p as usize % 32, 0, "slab block not 32-byte aligned");
+        debug_assert_eq!(p as usize % 32, 0, "slab group not 32-byte aligned");
         [_mm256_load_ps(p), _mm256_load_ps(p.add(8))]
     }
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn ldu(t: &[f32; LANES]) -> [__m256; 2] {
-        let p = t.as_ptr();
+    unsafe fn ldu(t: &[f32; LANES], off: usize) -> [__m256; 2] {
+        let p = t[off..off + GROUP].as_ptr();
         [_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8))]
     }
 
+    /// Mask-stores one 16-lane group (see the SSE2 twin).
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn st(f: &mut [f32], off: usize, v: [__m256; 2], m: Mask) {
-        let s = &mut f[off..off + LANES];
+    unsafe fn st(f: &mut [f32], off: usize, v: [__m256; 2], sm: u32) {
+        let s = &mut f[off..off + GROUP];
         let p = s.as_mut_ptr();
-        debug_assert_eq!(p as usize % 32, 0, "slab block not 32-byte aligned");
-        if m == FULL {
+        debug_assert_eq!(p as usize % 32, 0, "slab group not 32-byte aligned");
+        if sm == GROUP_FULL {
             _mm256_store_ps(p, v[0]);
             _mm256_store_ps(p.add(8), v[1]);
             return;
         }
-        let lo = (m & 0xFF) as usize;
-        let hi = ((m >> 8) & 0xFF) as usize;
+        let lo = (sm & 0xFF) as usize;
+        let hi = (sm >> 8) as usize;
         if lo == 0xFF {
             _mm256_store_ps(p, v[0]);
         } else if lo != 0 {
@@ -906,46 +987,60 @@ mod avx2 {
         [vf(op, a[0], b[0]), vf(op, a[1], b[1])]
     }
 
+    /// The 16 compare bits of one group.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn vf_bin(op: VfOp, f: &mut [f32], d: usize, x: usize, y: usize, m: Mask) {
-        let r = zip(op, ld(f, x), ld(f, y));
-        st(f, d, r, m);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn vf_un(op: VuOp, f: &mut [f32], d: usize, x: usize, m: Mask) {
-        let a = ld(f, x);
-        st(f, d, [vu(op, a[0]), vu(op, a[1])], m);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn vf_cmp(op: COp, f: &[f32], x: usize, y: usize) -> Mask {
-        let a = ld(f, x);
-        let b = ld(f, y);
+    unsafe fn cmp_bits(op: COp, a: [__m256; 2], b: [__m256; 2]) -> Mask {
         let lo = _mm256_movemask_ps(vc(op, a[0], b[0])) as Mask & 0xFF;
         let hi = _mm256_movemask_ps(vc(op, a[1], b[1])) as Mask & 0xFF;
         lo | (hi << 8)
     }
 
     #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn vf_bin(op: VfOp, f: &mut [f32], d: usize, x: usize, y: usize, m: Mask) {
+        for (o, sm) in live_groups(m) {
+            let r = zip(op, ld(f, x + o), ld(f, y + o));
+            st(f, d + o, r, sm);
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn vf_un(op: VuOp, f: &mut [f32], d: usize, x: usize, m: Mask) {
+        for (o, sm) in live_groups(m) {
+            let a = ld(f, x + o);
+            st(f, d + o, [vu(op, a[0]), vu(op, a[1])], sm);
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn vf_cmp(op: COp, f: &[f32], x: usize, y: usize, m: Mask) -> Mask {
+        let mut bits: Mask = 0;
+        for (o, _) in live_groups(m) {
+            bits |= cmp_bits(op, ld(f, x + o), ld(f, y + o)) << o;
+        }
+        bits
+    }
+
+    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn vf_sel(f: &mut [f32], d: usize, a: usize, b: usize, cond: Mask, m: Mask) {
-        let va = ld(f, a);
-        let vb = ld(f, b);
-        let clo = _mm256_castsi256_ps(_mm256_loadu_si256(MASK8[(cond & 0xFF) as usize].as_ptr().cast()));
-        let chi = _mm256_castsi256_ps(_mm256_loadu_si256(
-            MASK8[((cond >> 8) & 0xFF) as usize].as_ptr().cast(),
-        ));
-        let r = [
-            _mm256_blendv_ps(vb[0], va[0], clo),
-            _mm256_blendv_ps(vb[1], va[1], chi),
-        ];
-        st(f, d, r, m);
+        for (o, sm) in live_groups(m) {
+            let va = ld(f, a + o);
+            let vb = ld(f, b + o);
+            let cg = group_bits(cond, o) as usize;
+            let clo = _mm256_castsi256_ps(_mm256_loadu_si256(MASK8[cg & 0xFF].as_ptr().cast()));
+            let chi = _mm256_castsi256_ps(_mm256_loadu_si256(MASK8[cg >> 8].as_ptr().cast()));
+            let r = [
+                _mm256_blendv_ps(vb[0], va[0], clo),
+                _mm256_blendv_ps(vb[1], va[1], chi),
+            ];
+            st(f, d + o, r, sm);
+        }
     }
 
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn ldi(i: &[i32], off: usize) -> [__m256i; 2] {
-        let p = i[off..off + LANES].as_ptr().cast::<__m256i>();
+        let p = i[off..off + GROUP].as_ptr().cast::<__m256i>();
         [_mm256_loadu_si256(p), _mm256_loadu_si256(p.add(1))]
     }
 
@@ -961,60 +1056,68 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn vi_bin(op: ViOp, i: &mut [i32], d: usize, x: usize, y: usize, m: Mask) {
-        let a = ldi(i, x);
-        let b = ldi(i, y);
-        let r = [gi(op, a[0], b[0]), gi(op, a[1], b[1])];
-        let s = &mut i[d..d + LANES];
-        let p = s.as_mut_ptr();
-        if m == FULL {
-            _mm256_storeu_si256(p.cast(), r[0]);
-            _mm256_storeu_si256(p.cast::<__m256i>().add(1), r[1]);
-            return;
-        }
-        let lo = (m & 0xFF) as usize;
-        let hi = ((m >> 8) & 0xFF) as usize;
-        if lo != 0 {
-            _mm256_maskstore_epi32(p, _mm256_loadu_si256(MASK8[lo].as_ptr().cast()), r[0]);
-        }
-        if hi != 0 {
-            _mm256_maskstore_epi32(p.add(8), _mm256_loadu_si256(MASK8[hi].as_ptr().cast()), r[1]);
+        for (o, sm) in live_groups(m) {
+            let a = ldi(i, x + o);
+            let b = ldi(i, y + o);
+            let r = [gi(op, a[0], b[0]), gi(op, a[1], b[1])];
+            let s = &mut i[d + o..d + o + GROUP];
+            let p = s.as_mut_ptr();
+            if sm == GROUP_FULL {
+                _mm256_storeu_si256(p.cast(), r[0]);
+                _mm256_storeu_si256(p.cast::<__m256i>().add(1), r[1]);
+                continue;
+            }
+            let lo = (sm & 0xFF) as usize;
+            let hi = (sm >> 8) as usize;
+            if lo != 0 {
+                _mm256_maskstore_epi32(p, _mm256_loadu_si256(MASK8[lo].as_ptr().cast()), r[0]);
+            }
+            if hi != 0 {
+                _mm256_maskstore_epi32(p.add(8), _mm256_loadu_si256(MASK8[hi].as_ptr().cast()), r[1]);
+            }
         }
     }
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn vf_fused_ff(op1: VfOp, op2: VfOp, f: &mut [f32], p: FusedFF, m: Mask) {
-        let t = zip(op1, ld(f, p.x1), ld(f, p.y1));
-        // Store-before-load: operands aliasing `d1` observe the fresh
-        // lanes, as in the scalar per-lane order.
-        st(f, p.d1, t, m);
-        let xa = if p.ta { t } else { ld(f, p.x2) };
-        let xb = if p.tb { t } else { ld(f, p.y2) };
-        st(f, p.d2, zip(op2, xa, xb), m);
+        for (o, sm) in live_groups(m) {
+            let t = zip(op1, ld(f, p.x1 + o), ld(f, p.y1 + o));
+            // Store-before-load: operands aliasing `d1` observe the
+            // fresh lanes, as in the scalar per-lane order.
+            st(f, p.d1 + o, t, sm);
+            let xa = if p.ta { t } else { ld(f, p.x2 + o) };
+            let xb = if p.tb { t } else { ld(f, p.y2 + o) };
+            st(f, p.d2 + o, zip(op2, xa, xb), sm);
+        }
     }
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn vf_fused_fc(op1: VfOp, cmp: COp, f: &mut [f32], p: FusedFC, m: Mask) -> Mask {
-        let t = zip(op1, ld(f, p.x1), ld(f, p.y1));
-        st(f, p.d1, t, m);
-        let xa = if p.ta { t } else { ld(f, p.x2) };
-        let xb = if p.tb { t } else { ld(f, p.y2) };
-        let lo = _mm256_movemask_ps(vc(cmp, xa[0], xb[0])) as Mask & 0xFF;
-        let hi = _mm256_movemask_ps(vc(cmp, xa[1], xb[1])) as Mask & 0xFF;
-        lo | (hi << 8)
+        let mut bits: Mask = 0;
+        for (o, sm) in live_groups(m) {
+            let t = zip(op1, ld(f, p.x1 + o), ld(f, p.y1 + o));
+            st(f, p.d1 + o, t, sm);
+            let xa = if p.ta { t } else { ld(f, p.x2 + o) };
+            let xb = if p.tb { t } else { ld(f, p.y2 + o) };
+            bits |= cmp_bits(cmp, xa, xb) << o;
+        }
+        bits
     }
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn vf_arith_tbuf(op: VfOp, f: &mut [f32], t: &[f32; LANES], p: TBuf, m: Mask) {
-        let tv = ldu(t);
-        let xa = if p.ta { tv } else { ld(f, p.a2) };
-        let xb = if p.tb { tv } else { ld(f, p.b2) };
-        st(f, p.d2, zip(op, xa, xb), m);
+        for (o, sm) in live_groups(m) {
+            let tv = ldu(t, o);
+            let xa = if p.ta { tv } else { ld(f, p.a2 + o) };
+            let xb = if p.tb { tv } else { ld(f, p.b2 + o) };
+            st(f, p.d2 + o, zip(op, xa, xb), sm);
+        }
     }
 
-    /// Two-float-index gather linearization for one block:
-    /// `floor(f[o0..]+0.5)` and `floor(f[o1..]+0.5)`, an optional
-    /// float-domain per-dimension clamp, then `iy * d1 + ix`, all 16
-    /// lanes. The caller guarantees `d0, d1 <= 2^24` and
+    /// Two-float-index gather linearization for the live groups of one
+    /// block: `floor(f[o0..]+0.5)` and `floor(f[o1..]+0.5)`, an
+    /// optional float-domain per-dimension clamp, then `iy * d1 + ix`,
+    /// 16 lanes per group. The caller guarantees `d0, d1 <= 2^24` and
     /// `d0 * d1 <= i32::MAX`, which makes every in-range intermediate
     /// exactly representable in `f32`/`i32` — so the result matches
     /// the scalar `i64` computation bit-for-bit:
@@ -1030,6 +1133,7 @@ mod avx2 {
     ///  * without `clamp` the caller holds an analyzer proof that
     ///    every *live* lane is in-bounds; dead-lane outputs are
     ///    unspecified garbage the caller must not read.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn gather2_idx(
         f: &[f32],
@@ -1038,6 +1142,7 @@ mod avx2 {
         d0: usize,
         d1: usize,
         clamp: bool,
+        m: Mask,
         out: &mut [i32; LANES],
     ) {
         let half = _mm256_set1_ps(0.5);
@@ -1045,20 +1150,23 @@ mod avx2 {
         let y_hi = _mm256_set1_ps((d0 - 1) as f32);
         let x_hi = _mm256_set1_ps((d1 - 1) as f32);
         let zero = _mm256_setzero_ps();
-        for h in 0..2 {
-            let ya = _mm256_loadu_ps(f.as_ptr().add(o0 + 8 * h));
-            let xa = _mm256_loadu_ps(f.as_ptr().add(o1 + 8 * h));
-            let mut y = _mm256_floor_ps(_mm256_add_ps(ya, half));
-            let mut x = _mm256_floor_ps(_mm256_add_ps(xa, half));
-            if clamp {
-                y = _mm256_min_ps(_mm256_max_ps(y, zero), y_hi);
-                x = _mm256_min_ps(_mm256_max_ps(x, zero), x_hi);
+        let (ys, xs) = (&f[o0..o0 + LANES], &f[o1..o1 + LANES]);
+        for (o, _) in live_groups(m) {
+            for h in (o..o + GROUP).step_by(8) {
+                let ya = _mm256_loadu_ps(ys.as_ptr().add(h));
+                let xa = _mm256_loadu_ps(xs.as_ptr().add(h));
+                let mut y = _mm256_floor_ps(_mm256_add_ps(ya, half));
+                let mut x = _mm256_floor_ps(_mm256_add_ps(xa, half));
+                if clamp {
+                    y = _mm256_min_ps(_mm256_max_ps(y, zero), y_hi);
+                    x = _mm256_min_ps(_mm256_max_ps(x, zero), x_hi);
+                }
+                let lin = _mm256_add_epi32(
+                    _mm256_mullo_epi32(_mm256_cvttps_epi32(y), dim1),
+                    _mm256_cvttps_epi32(x),
+                );
+                _mm256_storeu_si256(out.as_mut_ptr().add(h).cast(), lin);
             }
-            let lin = _mm256_add_epi32(
-                _mm256_mullo_epi32(_mm256_cvttps_epi32(y), dim1),
-                _mm256_cvttps_epi32(x),
-            );
-            _mm256_storeu_si256(out.as_mut_ptr().add(8 * h).cast(), lin);
         }
     }
 
@@ -1091,7 +1199,8 @@ mod avx2 {
 
 // ---------------------------------------------------------------------------
 // Runtime dispatch. `level` is capped at `detect()` by every planner
-// entry point, so the feature-gated kernels are sound to call.
+// entry point, so the feature-gated kernels are sound to call. Each
+// wrapper dispatches once per block step; the kernel walks the groups.
 // ---------------------------------------------------------------------------
 
 macro_rules! dispatch {
@@ -1119,10 +1228,10 @@ pub(crate) fn vf_un(level: SimdLevel, op: VuOp, f: &mut [f32], d: usize, x: usiz
     dispatch!(level, vf_un(op, f, d, x, m))
 }
 
-/// All-lane compare bits for one block; bits outside the execution
-/// mask are unspecified and must be blended by the caller.
-pub(crate) fn vf_cmp(level: SimdLevel, op: COp, f: &[f32], x: usize, y: usize) -> Mask {
-    dispatch!(level, vf_cmp(op, f, x, y))
+/// Compare bits for the lanes of `m`; bits outside the execution mask
+/// are unspecified and must be blended by the caller.
+pub(crate) fn vf_cmp(level: SimdLevel, op: COp, f: &[f32], x: usize, y: usize, m: Mask) -> Mask {
+    dispatch!(level, vf_cmp(op, f, x, y, m))
 }
 
 pub(crate) fn vf_sel(level: SimdLevel, f: &mut [f32], d: usize, a: usize, b: usize, cond: Mask, m: Mask) {
@@ -1137,7 +1246,8 @@ pub(crate) fn vf_fused_ff(level: SimdLevel, op1: VfOp, op2: VfOp, f: &mut [f32],
     dispatch!(level, vf_fused_ff(op1, op2, f, p, m))
 }
 
-/// Fused arith→compare; returns all-lane bits (see [`vf_cmp`]).
+/// Fused arith→compare; returns compare bits for the lanes of `m` (see
+/// [`vf_cmp`]).
 pub(crate) fn vf_fused_fc(level: SimdLevel, op1: VfOp, cmp: COp, f: &mut [f32], p: FusedFC, m: Mask) -> Mask {
     dispatch!(level, vf_fused_fc(op1, cmp, f, p, m))
 }
@@ -1155,14 +1265,14 @@ const MAX_IDX_DIM: usize = 1 << 24;
 
 /// Vectorized two-float-index gather linearization: fills `out` with
 /// `floor(f[o?+l]+0.5)` linearized as `iy * d1 + ix` (per-dimension
-/// clamp when `clamp` is set) for all 16 lanes and returns `true`, or
-/// returns `false` when the level has no vector floor (SSE2's
-/// `roundps` is SSE4.1) or a dimension exceeds the exact-in-`f32`/
-/// `i32` bound — the caller keeps its scalar loop. Bit-exact with the
-/// scalar `i64` index path by the argument on [the AVX2 kernel]; the
-/// loads themselves stay with the caller, per live lane, so dead
-/// lanes never touch memory. Without `clamp` the caller must hold an
-/// analyzer in-bounds proof for every live lane.
+/// clamp when `clamp` is set) for every 16-lane group with a live lane
+/// of `m` and returns `true`, or returns `false` when the level has no
+/// vector floor (SSE2's `roundps` is SSE4.1) or a dimension exceeds
+/// the exact-in-`f32`/`i32` bound — the caller keeps its scalar loop.
+/// Bit-exact with the scalar `i64` index path by the argument on [the
+/// AVX2 kernel]; the loads themselves stay with the caller, per live
+/// lane, so dead lanes never touch memory. Without `clamp` the caller
+/// must hold an analyzer in-bounds proof for every live lane.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn vf_gather2_idx(
     level: SimdLevel,
@@ -1172,6 +1282,7 @@ pub(crate) fn vf_gather2_idx(
     d0: usize,
     d1: usize,
     clamp: bool,
+    m: Mask,
     out: &mut [i32; LANES],
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -1182,10 +1293,10 @@ pub(crate) fn vf_gather2_idx(
     {
         // SAFETY: dispatch only selects Avx2 after runtime detection
         // confirmed the ISA (see `dispatch!`).
-        unsafe { avx2::gather2_idx(f, o0, o1, d0, d1, clamp, out) };
+        unsafe { avx2::gather2_idx(f, o0, o1, d0, d1, clamp, m, out) };
         return true;
     }
-    let _ = (level, f, o0, o1, d0, d1, clamp, out);
+    let _ = (level, f, o0, o1, d0, d1, clamp, m, out);
     false
 }
 
@@ -1609,5 +1720,302 @@ pub fn fold(op: ReduceOp, level: SimdLevel, xs: &[f32]) -> f32 {
             scalar::fold_minmax(op, xs)
         }
         _ => xs.iter().fold(op.identity(), |acc, &x| op.apply(acc, x)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lanes::FULL;
+
+    /// xorshift64: deterministic data without a dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// Mostly ordinary values, with the operands the bit-exactness
+        /// rules are about (NaN, `±0.0`, infinities, ties) mixed in.
+        fn f32(&mut self) -> f32 {
+            match self.next() % 16 {
+                0 => f32::NAN,
+                1 => -0.0,
+                2 => 0.0,
+                3 => f32::INFINITY,
+                4 => f32::NEG_INFINITY,
+                5 => 1.5,
+                _ => ((self.next() >> 40) as f32 / (1u64 << 24) as f32) * 8.0 - 4.0,
+            }
+        }
+    }
+
+    /// The vector levels this host runs; each is pinned against the
+    /// scalar bodies.
+    fn levels() -> Vec<SimdLevel> {
+        [SimdLevel::Sse2, SimdLevel::Avx2]
+            .into_iter()
+            .filter(|&l| l <= detect())
+            .collect()
+    }
+
+    /// Full-width masks: empty, full, uniformly random, and masks built
+    /// group by group from fully off, fully on and partial 16-lane
+    /// groups.
+    fn masks(rng: &mut Rng) -> Vec<Mask> {
+        let mut v = vec![0, FULL, FULL & 0x5555_5555_5555_5555, 1, 1 << (LANES - 1)];
+        for _ in 0..64 {
+            v.push(rng.next() & FULL);
+        }
+        for _ in 0..64 {
+            let mut m: Mask = 0;
+            for o in (0..LANES).step_by(16) {
+                let g = match rng.next() % 3 {
+                    0 => 0,
+                    1 => 0xFFFF,
+                    _ => rng.next() & 0xFFFF,
+                };
+                m |= g << o;
+            }
+            v.push(m);
+        }
+        v
+    }
+
+    const REGS: usize = 6;
+
+    /// A slab arena of `REGS` random float registers.
+    fn fslab(rng: &mut Rng) -> AlignedF32 {
+        let mut f = AlignedF32::default();
+        f.clear_resize(REGS * LANES);
+        for v in f.as_mut_slice() {
+            *v = rng.f32();
+        }
+        f
+    }
+
+    fn assert_same(want: &[f32], got: &[f32], ctx: &str) {
+        for (l, (w, g)) in want.iter().zip(got).enumerate() {
+            assert_eq!(
+                w.to_bits(),
+                g.to_bits(),
+                "{ctx}: slab word {l}: scalar {w} vs {g}"
+            );
+        }
+    }
+
+    /// Runs `kernel` on two copies of one random arena, once through
+    /// the scalar bodies and once at each vector level, under every
+    /// mask, and compares the whole arena bitwise (dead lanes must keep
+    /// their old values) plus the returned bits under the mask.
+    fn pin(name: &str, seed: u64, kernel: impl Fn(SimdLevel, &mut [f32], Mask) -> Mask) {
+        let mut rng = Rng(seed);
+        for m in masks(&mut rng) {
+            let base = fslab(&mut rng);
+            let mut want = fslab(&mut rng);
+            want.as_mut_slice().copy_from_slice(base.as_slice());
+            let want_bits = kernel(SimdLevel::Scalar, want.as_mut_slice(), m) & m;
+            for level in levels() {
+                let mut got = fslab(&mut rng);
+                got.as_mut_slice().copy_from_slice(base.as_slice());
+                let got_bits = kernel(level, got.as_mut_slice(), m) & m;
+                let ctx = format!("{name} level {level} mask {m:#018x}");
+                assert_same(want.as_slice(), got.as_slice(), &ctx);
+                assert_eq!(want_bits, got_bits, "{ctx}: compare bits");
+            }
+        }
+    }
+
+    const VF_OPS: [VfOp; 6] = [VfOp::Add, VfOp::Sub, VfOp::Mul, VfOp::Div, VfOp::Min, VfOp::Max];
+    const C_OPS: [COp; 6] = [COp::Lt, COp::Le, COp::Gt, COp::Ge, COp::Eq, COp::Ne];
+    const R: usize = LANES;
+
+    #[test]
+    fn vf_bin_matches_scalar() {
+        for op in VF_OPS {
+            // Distinct registers, then the destination aliasing an operand.
+            for (d, x, y) in [(0, R, 2 * R), (R, R, 2 * R), (0, R, R)] {
+                pin(&format!("vf_bin {op:?} {d}/{x}/{y}"), 11, |lv, f, m| {
+                    vf_bin(lv, op, f, d, x, y, m);
+                    0
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn vf_un_matches_scalar() {
+        for op in [VuOp::Sqrt, VuOp::Abs, VuOp::Neg] {
+            for (d, x) in [(0, R), (R, R)] {
+                pin(&format!("vf_un {op:?} {d}/{x}"), 12, |lv, f, m| {
+                    vf_un(lv, op, f, d, x, m);
+                    0
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn vi_bin_matches_scalar() {
+        for op in [ViOp::Add, ViOp::Sub, ViOp::Mul] {
+            let mut rng = Rng(13);
+            for m in masks(&mut rng) {
+                let mut base = AlignedI32::default();
+                base.clear_resize(3 * LANES);
+                for v in base.as_mut_slice() {
+                    *v = rng.next() as i32;
+                }
+                let mut want = base.as_slice().to_vec();
+                scalar::vi_bin(op, &mut want, 0, R, 2 * R, m);
+                for level in levels() {
+                    let mut got = AlignedI32::default();
+                    got.clear_resize(3 * LANES);
+                    got.as_mut_slice().copy_from_slice(base.as_slice());
+                    vi_bin(level, op, got.as_mut_slice(), 0, R, 2 * R, m);
+                    assert_eq!(want, got.as_slice(), "vi_bin {op:?} level {level} mask {m:#018x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vf_cmp_matches_scalar() {
+        for op in C_OPS {
+            pin(&format!("vf_cmp {op:?}"), 14, |lv, f, m| {
+                vf_cmp(lv, op, f, 0, R, m)
+            });
+        }
+    }
+
+    #[test]
+    fn vf_sel_matches_scalar() {
+        let mut rng = Rng(15);
+        let conds: Vec<Mask> = (0..8).map(|_| rng.next()).chain([0, FULL]).collect();
+        for cond in conds {
+            pin(&format!("vf_sel cond {cond:#018x}"), 15, |lv, f, m| {
+                vf_sel(lv, f, 0, R, 2 * R, cond, m);
+                0
+            });
+        }
+    }
+
+    #[test]
+    fn vf_fused_ff_matches_scalar() {
+        for (op1, op2) in [
+            (VfOp::Mul, VfOp::Add),
+            (VfOp::Sub, VfOp::Min),
+            (VfOp::Div, VfOp::Max),
+        ] {
+            // op2 takes op1's result in-register (ta/tb), or reads it
+            // back through the slab (x2 == d1), or reads other slabs.
+            for (ta, tb, x2) in [(true, false, 3 * R), (false, true, 3 * R), (false, false, 2 * R)] {
+                let p = FusedFF {
+                    x1: 0,
+                    y1: R,
+                    d1: 2 * R,
+                    x2,
+                    y2: 4 * R,
+                    d2: 5 * R,
+                    ta,
+                    tb,
+                };
+                pin(&format!("vf_fused_ff {op1:?}/{op2:?} {p:?}"), 16, |lv, f, m| {
+                    vf_fused_ff(lv, op1, op2, f, p, m);
+                    0
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn vf_fused_fc_matches_scalar() {
+        for (op1, cmp) in [(VfOp::Add, COp::Gt), (VfOp::Mul, COp::Le), (VfOp::Min, COp::Ne)] {
+            for (ta, tb, x2) in [(true, false, 3 * R), (false, true, 3 * R), (false, false, 2 * R)] {
+                let p = FusedFC {
+                    x1: 0,
+                    y1: R,
+                    d1: 2 * R,
+                    x2,
+                    y2: 4 * R,
+                    ta,
+                    tb,
+                };
+                pin(&format!("vf_fused_fc {op1:?}/{cmp:?} {p:?}"), 17, |lv, f, m| {
+                    vf_fused_fc(lv, op1, cmp, f, p, m)
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn vf_arith_tbuf_matches_scalar() {
+        let mut rng = Rng(18);
+        let mut t = [0.0f32; LANES];
+        for v in &mut t {
+            *v = rng.f32();
+        }
+        for op in VF_OPS {
+            for (ta, tb) in [(true, false), (false, true)] {
+                let p = TBuf {
+                    d2: 0,
+                    a2: R,
+                    b2: 2 * R,
+                    ta,
+                    tb,
+                };
+                pin(&format!("vf_arith_tbuf {op:?} {p:?}"), 18, |lv, f, m| {
+                    vf_arith_tbuf(lv, op, f, &t, p, m);
+                    0
+                });
+            }
+        }
+    }
+
+    /// The gather index kernel against the scalar tier's `i64` index
+    /// path, on every live lane: clamped over out-of-range, NaN and
+    /// infinite indices, and unclamped over in-range ones. Levels
+    /// without a vector floor decline.
+    #[test]
+    fn vf_gather2_idx_matches_scalar() {
+        let mut rng = Rng(19);
+        let (d0, d1) = (7usize, 13usize);
+        for m in masks(&mut rng) {
+            for clamp in [true, false] {
+                let mut f = fslab(&mut rng);
+                if !clamp {
+                    for (l, v) in f.as_mut_slice()[..2 * R].iter_mut().enumerate() {
+                        let dim = if l < R { d0 } else { d1 };
+                        *v = (rng.next() % dim as u64) as f32 + ((rng.next() % 9) as f32 - 4.0) / 10.0;
+                    }
+                }
+                let f = f.as_slice();
+                for level in levels() {
+                    let mut lin = [0i32; LANES];
+                    if !vf_gather2_idx(level, f, 0, R, d0, d1, clamp, m, &mut lin) {
+                        assert_ne!(level, SimdLevel::Avx2, "AVX2 has a vector floor");
+                        continue;
+                    }
+                    let mut mm = m;
+                    while mm != 0 {
+                        let l = mm.trailing_zeros() as usize;
+                        let iy = (f[l] + 0.5).floor() as i64;
+                        let ix = (f[R + l] + 0.5).floor() as i64;
+                        let want = iy.clamp(0, d0 as i64 - 1) * d1 as i64 + ix.clamp(0, d1 as i64 - 1);
+                        assert_eq!(
+                            i64::from(lin[l]),
+                            want,
+                            "level {level} clamp {clamp} mask {m:#018x} lane {l}: ({}, {})",
+                            f[l],
+                            f[R + l]
+                        );
+                        mm &= mm - 1;
+                    }
+                }
+            }
+        }
     }
 }

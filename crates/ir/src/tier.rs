@@ -46,7 +46,7 @@
 //!    scalar chain.
 
 use crate::block::{aos_to_soa, BlockFrame, BlockIo, BlockLayout};
-use crate::interp::{Binding, ExecError, MAX_ITERATIONS};
+use crate::interp::{Binding, ExecError};
 use crate::lanes::{
     self, BOp, Bi2, COp, FOp, IOp, LaneKernel, LaneProgram, LaneSlabs, Mask, Op, Un1, FULL, LANES,
 };
@@ -1358,7 +1358,7 @@ fn simd_step_for(op: &Op, level: SimdLevel) -> Option<Step> {
             let (cop, d, a, b) = (*op, *dst as usize, *a as usize, *b as usize);
             Some(Box::new(move |fr| {
                 let m = fr.m;
-                let bits = simd::vf_cmp(level, cop, fr.f, a, b);
+                let bits = simd::vf_cmp(level, cop, fr.f, a, b, m);
                 fr.b[d] = (fr.b[d] & !m) | (bits & m);
             }))
         }
@@ -1476,7 +1476,7 @@ fn simd_fuse_ga(
                     .as_ref()
                     .is_some_and(|pr| crate::eval::proven_fits_dyn(pr, shape, fr.io.comp_max));
                 let mut lin = [0i32; LANES];
-                if simd::vf_gather2_idx(level, fr.f, o0, o1, d0, d1, !unclamped, &mut lin) {
+                if simd::vf_gather2_idx(level, fr.f, o0, o1, d0, d1, !unclamped, m, &mut lin) {
                     tier_loop!(m, l, {
                         debug_assert!(
                             lin[l] >= 0 && (lin[l] as usize) < d0 * d1,
@@ -1827,7 +1827,7 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
                             .as_ref()
                             .is_some_and(|p| crate::eval::proven_fits_dyn(p, shape, fr.io.comp_max));
                         let mut lin = [0i32; LANES];
-                        if simd::vf_gather2_idx(level, fr.f, o0, o1, d0, d1, !unclamped, &mut lin) {
+                        if simd::vf_gather2_idx(level, fr.f, o0, o1, d0, d1, !unclamped, m, &mut lin) {
                             // Index math vectorized (bit-exact, see
                             // `vf_gather2_idx`); loads stay per live
                             // lane so dead-lane indices are never read.
@@ -2081,7 +2081,7 @@ fn try_fuse(o1: &Op, o2: &Op, level: SimdLevel) -> Option<Step> {
                 let cop = *op1;
                 return Some(Box::new(move |fr| {
                     let m = fr.m;
-                    let bits = simd::vf_cmp(level, cop, fr.f, p.a1, p.b1);
+                    let bits = simd::vf_cmp(level, cop, fr.f, p.a1, p.b1, m);
                     fr.b[p.d1] = (fr.b[p.d1] & !m) | (bits & m);
                     for c in 0..p.w {
                         let cl = c * LANES;
@@ -2352,16 +2352,11 @@ fn build_seq(
 struct BailOut;
 
 fn bump_iters(fr: &mut Frame<'_>, m: Mask) -> Result<(), BailOut> {
-    let mut mm = m;
-    while mm != 0 {
-        let l = mm.trailing_zeros() as usize;
-        fr.iters[l] += 1;
-        if u64::from(fr.iters[l]) > MAX_ITERATIONS {
-            return Err(BailOut);
-        }
-        mm &= mm - 1;
+    if lanes::bump_iters(&mut fr.iters, m) {
+        Ok(())
+    } else {
+        Err(BailOut)
     }
-    Ok(())
 }
 
 fn exec_chain(fr: &mut Frame<'_>, nodes: &[TNode], mask: Mask) -> Result<(), BailOut> {

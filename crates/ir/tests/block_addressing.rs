@@ -37,7 +37,8 @@ fn input(shape: &[usize], width: u8, salt: f32) -> Input {
 }
 
 /// Runs `src` over `range` of `domain` on engine `engine` (0 scalar, 1
-/// lanes, 2 Tier-2 forced scalar, 3 Tier-2 at the host SIMD level).
+/// lanes, 2 Tier-2 forced scalar, 3 Tier-2 at the host SIMD level,
+/// which `BROOK_SIMD` can pin lower).
 /// Streams bind in parameter order from `inputs`; every output has
 /// width `out_w` and starts from a recognisable non-zero fill, so
 /// preload and conditional writes are checked too.
@@ -53,7 +54,7 @@ fn run(
     let level = if engine == 2 {
         SimdLevel::Scalar
     } else {
-        simd::detect()
+        simd::auto()
     };
     let tk = tier::compile_simd(&lane, kernel, None, level).expect("tier compile");
     let mut bindings = Vec::new();
